@@ -4,7 +4,7 @@ Usage: python scripts/reproduce_all.py [id-glob] [--threads N]
 
 Develops each family, verifies the Steiner property, computes the fingerprint
 and compares it against the transcription.  With no glob this covers all 1239
-entries (~10 minutes single-threaded; most of it fingerprint kernels).
+entries: 16 s single-threaded on a 2-CPU Xeon host (Python 3.11, numpy 2.4).
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 Human-readable results go to stdout and diagnostics to stderr; --json switches
 stdout to one JSON object per line.  Exit codes are a stable contract:
 0 success, 1 verification/reproduction mismatch, 2 usage error,
-3 input/parse error, 4 search budget exhausted.
+3 input/parse error, 4 budget exhausted (search, or aut printing a lower bound).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import catalog as cat
 from .designs import Mode, develop, verify_steiner
-from .errors import UnitalsError
+from .errors import ParseError, UnitalsError
 from .fingerprint import fingerprint, format_fingerprint
 from .groups import build_group, load_cayley_table, spec_from_json
 from .isomorph import are_isomorphic, automorphism_order
@@ -26,6 +26,18 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_BUDGET = 4
+
+
+def _positive(kind):
+    """argparse type for a budget: a number of ``kind`` above 0."""
+    def parse(text: str):
+        value = kind(text)  # argparse reports a ValueError as "invalid <kind> value"
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"budget must be positive, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -69,9 +81,9 @@ def _parser() -> argparse.ArgumentParser:
                     help="JSON file holding a group spec")
     sp.add_argument("--mode", required=True,
                     choices=[m.value for m in Mode])
-    sp.add_argument("--max-nodes", type=int, default=1_000_000)
-    sp.add_argument("--max-solutions", type=int, default=10)
-    sp.add_argument("--time-limit", type=float, default=600.0)
+    sp.add_argument("--max-nodes", type=_positive(int), default=1_000_000)
+    sp.add_argument("--max-solutions", type=_positive(int), default=10)
+    sp.add_argument("--time-limit", type=_positive(float), default=600.0)
     sp.add_argument("--no-canonicalize", dest="canonicalize", action="store_false")
 
     sp = sub.add_parser("group", help="group-layer utilities")
@@ -151,7 +163,10 @@ def _cmd_aut(args) -> int:
         print(json.dumps({"id": entry.id, "order": count.order,
                           "complete": count.complete}))
     else:
-        print(count.order)
+        print(count.order if count.complete else f">= {count.order}")
+    if not count.complete:
+        print("time budget exhausted: the order is a lower bound", file=sys.stderr)
+        return EXIT_BUDGET
     return EXIT_OK
 
 
@@ -191,7 +206,11 @@ def _cmd_catalog_check(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    spec = spec_from_json(json.loads(args.group.read_text(encoding="utf-8")))
+    try:
+        obj = json.loads(args.group.read_text(encoding="utf-8"))
+    except ValueError as exc:  # also undecodable bytes
+        raise ParseError(f"{args.group}: not a JSON group spec: {exc}") from None
+    spec = spec_from_json(obj)
     group = build_group(spec)
     budget = SearchBudget(max_nodes=args.max_nodes,
                           max_solutions=args.max_solutions,
@@ -251,10 +270,7 @@ def main(argv=None) -> int:
             return _cmd_search(args)
         if args.command == "group":
             return _cmd_group_validate(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except UnitalsError as exc:
+    except (OSError, UnitalsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     raise AssertionError("unreachable")

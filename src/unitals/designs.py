@@ -60,19 +60,21 @@ def _label_key(lab):
 
 @dataclass
 class Design:
-    """Developed design: sorted blocks plus pair->line index and line bitmasks."""
+    """Developed design: sorted blocks, pair->line index, developing action."""
 
     n_points: int
     blocks: tuple  # tuple of sorted point-index tuples
     labels: tuple  # point index -> ElementLabel (∞ last in 1-rotational mode)
     line_of: np.ndarray = field(repr=False)  # (n, n) int32, -1 off-diagonal sentinel
-    line_masks: np.ndarray = field(repr=False)  # (b, 2) uint64
+    #: (|G|, n) point permutations the blocks were developed by (row g: x -> g*x,
+    #: ∞ fixed), so all of them are automorphisms; None when unknown
+    action: np.ndarray | None = field(default=None, repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def from_blocks(cls, blocks: Sequence[Sequence[int]], n_points: int,
                     labels: Sequence[ElementLabel] | None = None) -> "Design":
-        blk = tuple(sorted(tuple(sorted(int(p) for p in b)) for b in blocks))
+        blk = tuple(sorted(tuple(sorted(map(int, b))) for b in blocks))
         for b in blk:
             if len(set(b)) != len(b):
                 raise SchemaError(f"block {b} has repeated points")
@@ -80,18 +82,14 @@ class Design:
                 raise SchemaError(f"block {b} outside point range 0..{n_points - 1}")
         if labels is None:
             labels = tuple(range(n_points))
-        line_of = np.full((n_points, n_points), -1, dtype=np.int32)
-        for i, b in enumerate(blk):
-            for j, p in enumerate(b):
-                for q in b[j + 1:]:
-                    if line_of[p, q] == -1:
-                        line_of[p, q] = i
-                        line_of[q, p] = i
-        masks = np.zeros((max(len(blk), 1), 2), dtype=np.uint64)
-        for i, b in enumerate(blk):
-            for p in b:
-                masks[i, p >> 6] |= np.uint64(1) << np.uint64(p & 63)
-        return cls(n_points, blk, tuple(labels), line_of, masks)
+        pairs = _block_pairs(blk)
+        block_ids, p, q = pairs
+        # the first block through a pair wins when several cover it
+        first = np.full((n_points, n_points), len(blk), dtype=np.int32)
+        np.minimum.at(first, (p, q), block_ids)
+        first = np.minimum(first, first.T)
+        line_of = np.where(first < len(blk), first, -1).astype(np.int32)
+        return cls(n_points, blk, tuple(labels), line_of, _cache={"block_pairs": pairs})
 
     @property
     def block_count(self) -> int:
@@ -104,11 +102,45 @@ class Design:
             self._cache["block_array"] = arr
         return arr
 
+    def point_lines(self) -> np.ndarray:
+        """(n, r) int64: the ascending indices of the r blocks through each point."""
+        lines = self._cache.get("point_lines")
+        if lines is None:
+            arr = self.block_array()
+            degrees = np.bincount(arr.ravel(), minlength=self.n_points)
+            if degrees.min() != degrees.max():
+                raise ValueError("points lie on differing numbers of lines")
+            lines = np.argsort(arr.ravel(), kind="stable") // arr.shape[1]
+            lines = self._cache["point_lines"] = lines.reshape(self.n_points, -1)
+        return lines
+
+    def block_pairs(self) -> tuple:
+        """(block index, p, q) arrays over every point pair p < q of every block."""
+        pairs = self._cache.get("block_pairs")
+        if pairs is None:
+            pairs = self._cache["block_pairs"] = _block_pairs(self.blocks)
+        return pairs
+
     def format_block(self, index: int, compact: bool = True) -> str:
         return " ".join(
             format_element_label(self.labels[p], compact=compact)
             for p in self.blocks[index]
         )
+
+
+def _block_pairs(blocks: tuple) -> tuple:
+    """See Design.block_pairs; blocks of one size are handled as one array."""
+    by_size: dict = {}
+    for i, b in enumerate(blocks):
+        by_size.setdefault(len(b), []).append(i)
+    parts = [(np.zeros(0, dtype=np.int32),) * 3]
+    for size, members in by_size.items():
+        arr = np.asarray([blocks[i] for i in members], dtype=np.int32)
+        arr = arr.reshape(len(members), size)
+        j, k = np.triu_indices(size, k=1)
+        parts.append((np.repeat(np.asarray(members, dtype=np.int32), len(j)),
+                      arr[:, j].ravel(), arr[:, k].ravel()))
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def resolve_family(group: CayleyGroup, family: DifferenceFamily) -> list:
@@ -140,8 +172,7 @@ def develop_blocks(group: CayleyGroup, base_blocks: Sequence[Sequence[int]],
     n = group.order
     inf_index = n
     n_points = n + 1 if one_rotational else n
-    seen = set()
-    out = []
+    blocks = set()
     table = group.table
     for block in base_blocks:
         finite = [p for p in block if p != inf_index]
@@ -150,17 +181,15 @@ def develop_blocks(group: CayleyGroup, base_blocks: Sequence[Sequence[int]],
         has_inf = len(finite) < len(block)
         if has_inf and not one_rotational:
             raise LabelNotInGroup("∞ point requires 1-rotational mode")
-        translates = table[:, finite]  # row g = g*B
-        translates = np.sort(translates, axis=1)
-        for row in translates:
-            key = tuple(int(x) for x in row)
-            if has_inf:
-                key = key + (inf_index,)
-            if key not in seen:
-                seen.add(key)
-                out.append(key)
+        translates = np.sort(table[:, finite], axis=1)  # row g = g*B
+        if has_inf:
+            translates = np.hstack([translates, np.full((n, 1), inf_index)])
+        blocks.update(map(tuple, translates.tolist()))
     labels = group.labels + ((INF,) if one_rotational else ())
-    return Design.from_blocks(out, n_points, labels)
+    design = Design.from_blocks(blocks, n_points, labels)
+    fixed = np.full((n, n_points - n), inf_index, dtype=table.dtype)
+    design.action = np.hstack([table, fixed])  # ∞ is fixed by every translation
+    return design
 
 
 @dataclass
@@ -187,18 +216,14 @@ class VerificationReport:
 def verify_steiner(design: Design) -> VerificationReport:
     """Exact pair-coverage count over all unordered point pairs."""
     n = design.n_points
-    cov = np.zeros((n, n), dtype=np.int32)
+    _, lows, highs = design.block_pairs()
+    cov = np.bincount(lows.astype(np.int64) * n + highs, minlength=n * n).reshape(n, n)
     duplicates = len(design.blocks) - len(set(design.blocks))
-    for b in design.blocks:
-        for j, p in enumerate(b):
-            for q in b[j + 1:]:
-                cov[p, q] += 1
-    defects = []
     iu = np.triu_indices(n, k=1)
-    bad = np.nonzero(cov[iu] != 1)[0]
-    for k in bad:
-        p, q = int(iu[0][k]), int(iu[1][k])
-        defects.append(((p, q), int(cov[p, q])))
+    counts = cov[iu]
+    bad = counts != 1
+    defects = [((p, q), c) for p, q, c in zip(
+        iu[0][bad].tolist(), iu[1][bad].tolist(), counts[bad].tolist())]
     block_sizes_ok = all(len(b) == BLOCK_SIZE for b in design.blocks)
     is_steiner = (
         not defects

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import Design, verify_steiner
+from .designs import BLOCK_SIZE, Design, verify_steiner
 from .errors import DuplicateKey, NotASteinerSystem, ParseError
 
 TOTAL_QUADRUPLES = 7_560_000  # 126*125*124 - 525*6*5*4 non-collinear triples, times 4
@@ -94,46 +94,62 @@ def _incidence_tables(design: Design):
     if cached is not None:
         return cached
     n = design.n_points
+    blocks = design.block_array()  # (B, 6), each row ascending
+    firsts, seconds = np.nonzero(~np.eye(BLOCK_SIZE, dtype=bool))
+    rest = np.array([[r for r in range(BLOCK_SIZE) if r not in (j, k)]
+                     for j, k in zip(firsts, seconds)])
     others = np.zeros((n, n, 4), dtype=np.int32)
-    for block in design.blocks:
-        for j, p in enumerate(block):
-            for k, q in enumerate(block):
-                if j == k:
-                    continue
-                rest = [r for r in block if r != p and r != q]
-                others[p, q] = rest
-    masks = design.line_masks
-    inter = masks[:, None, :] & masks[None, :, :]
-    disjoint = (inter == 0).all(axis=2)
+    others[blocks[:, firsts], blocks[:, seconds]] = blocks[:, rest]
+    lines = design.point_lines()
+    meets = np.zeros((len(blocks), len(blocks)), dtype=bool)
+    meets[lines[:, :, None], lines[:, None, :]] = True  # both lines through one point
+    disjoint = ~meets
     design._cache["incidence_tables"] = (others, disjoint)
     return others, disjoint
 
 
+def _kernel_rows(design: Design, origins) -> np.ndarray:
+    """(len(origins), n, 5): row o of the pair histograms for each origin o."""
+    n = design.n_points
+    line_of = design.line_of.ravel()
+    others, disjoint = _incidence_tables(design)
+    # [j, y, x] -> n * p_j, the j-th point of line(x,y) \ {x,y}
+    p_rows = np.moveaxis(others, 2, 0) * n
+    y_bins = np.broadcast_to(np.arange(n)[:, None] * 5, (4, n, n))  # first bin of row y
+    rows = np.zeros((len(origins), n, 5), dtype=np.int64)
+    for row, o in zip(rows, origins):
+        pencil = design.line_of[o]  # line(o, t) for every t
+        valid = pencil[:, None] != pencil[None, :]  # [y, x]: o,x,y non-collinear
+        valid[o, :] = False
+        valid[:, o] = False
+        misses_ox = disjoint[:, pencil].ravel()  # [l * n + x]: line l misses line(o, x)
+        bins = y_bins.copy()
+        for u in others[o].T:  # one point of line(o,y) \ {o,y} per y
+            line_pu = line_of.take(p_rows + u[:, None])
+            bins += misses_ox.take(line_pu * n + np.arange(n))
+        row += np.bincount(bins[:, valid].ravel(), minlength=5 * n).reshape(n, 5)
+    return rows
+
+
 def pair_histograms(design: Design) -> np.ndarray:
-    """(n, n, 5) array: [o, y] = histogram over quadruples with triple (o, x, y)."""
+    """(n, n, 5) array: [o, y] = histogram over quadruples with triple (o, x, y).
+
+    The histograms are invariant under automorphisms, so for a design that
+    carries the group action it was developed by, only one origin per orbit
+    goes through the kernel and [g*o, g*y] = [o, y] fills the rest.
+    """
     cached = design._cache.get("pair_histograms")
     if cached is not None:
         return cached
     _require_steiner(design)
-    n = design.n_points
-    lof = design.line_of.astype(np.int64)
-    others, disjoint = _incidence_tables(design)
-    hist = np.zeros((n, n, 5), dtype=np.int64)
-    for o in range(n):
-        pencil = lof[o]  # line(o, t) for every t
-        valid = pencil[:, None] != pencil[None, :]  # [y, x]: o,x,y non-collinear
-        valid[o, :] = False
-        valid[:, o] = False
-        u_cand = others[o]  # (n, 4): points of line(o,y) \ {o,y}
-        box = pencil  # line(o, x) per x
-        for j in range(4):
-            p_j = others[:, :, j]  # [y, x] -> j-th point of line(x,y) \ {x,y}
-            c = np.zeros((n, n), dtype=np.int8)
-            for i in range(4):
-                lpu = lof[p_j, u_cand[:, i][:, None]]
-                c += disjoint[lpu, box[None, :]]
-            for k in range(5):
-                hist[o, :, k] += ((c == k) & valid).sum(axis=1)
+    action = design.action
+    if action is None:
+        hist = _kernel_rows(design, range(design.n_points))
+    else:
+        reps = [0, *range(len(action), design.n_points)]  # the group's orbit; fixed ∞
+        hist = np.zeros((design.n_points, design.n_points, 5), dtype=np.int64)
+        for o, row in zip(reps, _kernel_rows(design, reps)):
+            hist[action[:, o][:, None], action] = row
     design._cache["pair_histograms"] = hist
     return hist
 

@@ -168,7 +168,14 @@ GroupSpec = Union[Cyclic, Product, Semidirect, External]
 
 
 def spec_from_json(obj, base_dir: Path | None = None) -> GroupSpec:
-    """Decode the catalog JSON group grammar."""
+    """Decode the catalog JSON group grammar; any malformed input is a ParseError."""
+    try:
+        return _spec_from_json(obj, base_dir)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ParseError(f"bad group spec {obj!r}: {exc!r}") from None
+
+
+def _spec_from_json(obj, base_dir: Path | None) -> GroupSpec:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ParseError(f"bad group spec: {obj!r}")
     (kind, val), = obj.items()
@@ -255,10 +262,6 @@ class CayleyGroup:
 
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.table, self.table.T))
-
-    def conjugate(self, g: int, h: int) -> int:
-        """g * h * g^-1."""
-        return self.mul(self.mul(g, h), self.inv(g))
 
 
 def multiply(group: CayleyGroup, g: int, h: int) -> int:

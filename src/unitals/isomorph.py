@@ -48,21 +48,13 @@ def _struct(design: Design) -> _Struct:
     cached = design._cache.get("iso_struct")
     if cached is not None:
         return cached
-    blocks = design.block_array()
     n = design.n_points
-    per_point = [[] for _ in range(n)]
-    for i, b in enumerate(design.blocks):
-        for p in b:
-            per_point[p].append(i)
-    counts = {len(x) for x in per_point}
-    if len(counts) != 1:
-        raise ValueError("points lie on differing numbers of lines")
-    point_lines = np.asarray(per_point, dtype=np.int64)
+    point_lines = design.point_lines()
     pairs = pair_histograms(design)
     sym = np.concatenate([pairs, pairs.transpose(1, 0, 2)], axis=2)
     codes, _ = _rank_rows(sym.reshape(n * n, -1))
     pair_codes = codes.reshape(n, n)
-    struct = _Struct(blocks, point_lines, pair_codes, design)
+    struct = _Struct(design.block_array(), point_lines, pair_codes, design)
     design._cache["iso_struct"] = struct
     return struct
 

@@ -8,6 +8,7 @@ from conftest import entry
 from unitals.catalog import (
     FINGERPRINT_SHARING_PAIRS,
     REQUIRED_LIST_SIZES,
+    catalog_check,
     catalog_dir,
     entry_from_json,
     entry_to_json,
@@ -107,6 +108,14 @@ def test_reproduce_required_sample():
         if e.id in wanted:
             rec = reproduce(e)
             assert rec.steiner_ok and rec.fingerprint_match, e.id
+
+
+def test_whole_catalog_reproduces_bit_exactly():
+    records = catalog_check(load_entry(p) for p in iter_entry_paths())
+    assert len(records) == 1239
+    failures = [(r.entry_id, r.steiner_ok, str(r.computed_fingerprint))
+                for r in records if not (r.steiner_ok and r.fingerprint_match)]
+    assert not failures
 
 
 def test_reconstruct_ordering_single_cyclic_candidate(ex1_1):

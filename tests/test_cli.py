@@ -3,10 +3,13 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import entry
 from unitals.catalog import catalog_dir, entry_to_json
 from unitals.cli import main
+from unitals.isomorph import automorphism_order
 
 
 def path_of(entry_id: str) -> str:
@@ -137,3 +140,95 @@ def test_search_budget_exhausted_exit_4(capsys, tmp_path):
                          "--mode", "one-rotational", "--max-nodes", "1000")
     assert code == 4
     assert "budget_hit=True" in err
+
+
+def search_with_group_file(capsys, path):
+    return run(capsys, "search", "--group", str(path), "--mode", "one-rotational",
+               "--max-nodes", "1")
+
+
+@pytest.mark.parametrize("content", [b"cyclic 125", b"\xff\xfe\x00"])
+def test_search_non_json_group_exits_3(capsys, tmp_path, content):
+    p = tmp_path / "group.json"
+    p.write_bytes(content)
+    code, _, err = search_with_group_file(capsys, p)
+    assert code == 3
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", [
+    {"cyclic": "x"},
+    {"cyclic": None},
+    {"product": [{"cyclic": 5}]},
+    {"semidirect": {"normal": {"cyclic": 25}, "actor": {"cyclic": 5}}},
+    {"semidirect": {"normal": {"cyclic": 25}, "actor": {"cyclic": 5}, "action": 7}},
+    {"external": "."},
+    [125],
+])
+def test_search_malformed_spec_exits_3(capsys, tmp_path, spec):
+    p = tmp_path / "group.json"
+    p.write_text(json.dumps(spec))
+    code, _, err = search_with_group_file(capsys, p)
+    assert code == 3
+    assert "error:" in err
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--max-nodes", "0"), ("--max-nodes", "-5"), ("--max-nodes", "many"),
+    ("--max-solutions", "0"), ("--time-limit", "0"), ("--time-limit", "-1.5"),
+])
+def test_search_budget_below_one_is_usage_error(capsys, tmp_path, option, value):
+    p = tmp_path / "group.json"
+    p.write_text(json.dumps({"cyclic": 125}))
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--group", str(p), "--mode", "one-rotational", option, value])
+    assert exc.value.code == 2
+
+
+_junk = st.one_of(st.none(), st.text(alphabet="xyz/.", max_size=4),
+                  st.lists(st.none(), max_size=3), st.dictionaries(st.text("ab"), st.none()))
+_malformed_spec = st.recursive(
+    st.one_of(
+        _junk,
+        st.builds(lambda v: {"cyclic": v}, _junk),
+        st.builds(lambda k, v: {k: v}, st.text(alphabet="abc", min_size=1), _junk),
+        st.builds(lambda v: {"cyclic": 5, "product": v}, _junk),
+    ),
+    lambda inner: st.one_of(
+        st.builds(lambda a: {"product": [a, {"cyclic": 5}]}, inner),
+        st.builds(lambda a: {"product": [{"cyclic": 5}, a]}, inner),
+        st.builds(lambda v: {"product": v}, st.lists(inner, max_size=3)),
+        st.builds(lambda a, act: {"semidirect": {"normal": a, "actor": {"cyclic": 5},
+                                                 "action": act}},
+                  inner, st.one_of(_junk, st.just([[1, 6]]))),
+        st.builds(lambda d: {"semidirect": d},
+                  st.dictionaries(st.sampled_from(["normal", "actor"]), inner)),
+    ),
+    max_leaves=6,
+)
+
+
+@given(_malformed_spec)
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_search_fuzzed_malformed_spec_exits_3(capsys, tmp_path, spec):
+    p = tmp_path / "group.json"
+    p.write_text(json.dumps(spec))
+    code, _, err = search_with_group_file(capsys, p)
+    assert code == 3, spec
+    assert "Traceback" not in err
+
+
+def test_aut_cut_short_exits_4_with_bound(capsys, monkeypatch):
+    import unitals.cli as cli
+
+    tiny = lambda design: automorphism_order(design, time_budget_s=0.0)
+    monkeypatch.setattr(cli, "automorphism_order", tiny)
+    code, out, err = run(capsys, "aut", path_of("ex1-1"))
+    assert code == 4
+    assert out.startswith(">= ")
+    assert int(out.split()[1]) >= 1
+    assert "lower bound" in err
+    code, out, _ = run(capsys, "aut", path_of("ex1-1"), "--json")
+    assert code == 4
+    assert json.loads(out)["complete"] is False

@@ -1,10 +1,14 @@
 """Development, Steiner verification, relabeling."""
 
+from collections import Counter
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from conftest import design_of, entry
 from unitals.designs import (
+    Design,
     DifferenceFamily,
     Mode,
     develop,
@@ -147,3 +151,55 @@ def test_orbit_sizes_divide_group_order(z125, ex1_1):
         assert 125 % d.block_count == 0
         total += d.block_count
     assert total == 525
+
+
+def _pairwise_reference(design):
+    """Pure-Python line_of (first block wins) and pair coverage counts."""
+    n = design.n_points
+    line_of = np.full((n, n), -1, dtype=np.int32)
+    coverage = Counter()
+    for i, b in enumerate(design.blocks):
+        for p, q in combinations(b, 2):
+            coverage[p, q] += 1
+            if line_of[p, q] == -1:
+                line_of[p, q] = line_of[q, p] = i
+    defects = [((p, q), coverage[p, q]) for p, q in combinations(range(n), 2)
+               if coverage[p, q] != 1]
+    return line_of, defects
+
+
+def _malformed_designs():
+    ex1 = entry("ex1-1")
+    d = design_of("ex1-1")
+    blocks = [list(b) for b in ex1.base_blocks]
+    blocks[0][5] = 73
+    return {
+        "shrunk": (Design.from_blocks(d.blocks[1:], 126, d.labels), 15, 0),
+        "corrupted": (develop(ex1.group(), DifferenceFamily(Mode.ONE_ROTATIONAL, blocks)),
+                      1000, 0),
+        "duplicates": (Design.from_blocks(list(d.blocks) + [d.blocks[3], d.blocks[7]],
+                                          126, d.labels), 30, 2),
+        "single": (develop_blocks(build_group(Cyclic(1)), [[0]]), 0, 0),
+        "ragged": (develop_blocks(build_group(Cyclic(7)), [[0], [0, 1, 3], [0, 1]]), 7, 0),
+    }
+
+
+@pytest.mark.parametrize("name", ["shrunk", "corrupted", "duplicates", "single", "ragged"])
+def test_incidence_layer_on_malformed_designs(name):
+    design, n_defects, n_duplicates = _malformed_designs()[name]
+    line_of, defects = _pairwise_reference(design)
+    assert np.array_equal(design.line_of, line_of)
+    report = verify_steiner(design)
+    assert not report.is_steiner
+    assert report.pair_coverage_defects == defects
+    assert len(defects) == n_defects
+    assert report.duplicate_blocks == n_duplicates
+
+
+def test_only_developed_designs_carry_the_action(design_ex1_1, z125):
+    action = design_ex1_1.action
+    assert action.shape == (125, 126)
+    assert np.array_equal(action[:, :125], z125.table)
+    assert (action[:, 125] == 125).all()
+    assert relabel(design_ex1_1, range(126)).action is None
+    assert Design.from_blocks(design_ex1_1.blocks, 126).action is None

@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import design_of
-from unitals.designs import relabel
+from conftest import design_of, entry
+from unitals import fingerprint as fp_module
+from unitals.designs import Mode, develop, relabel
 from unitals.errors import DuplicateKey, NotASteinerSystem, ParseError
 from unitals.fingerprint import (
     TOTAL_QUADRUPLES,
     Fingerprint,
     fingerprint,
     format_fingerprint,
+    pair_histograms,
     parse_fingerprint,
     point_profile,
 )
@@ -100,3 +102,49 @@ def test_parse_errors():
 def test_round_trip_random_histograms(d):
     fp = Fingerprint.from_dict(d)
     assert parse_fingerprint(format_fingerprint(fp)) == fp
+
+
+#: one fixed entry of each catalog list (both modes, every group family) and
+#: both fingerprint-sharing pairs
+ORBIT_GATE = ["ex1-3", "ex2-5", "ex3-2", "ex4-3", "ex5-2", "sg126-1-2", "sg126-2-7",
+              "sg126-3-1", "sg126-7-2", "sg126-8-4", "sg126-10-10", "sg126-12-3",
+              "sg126-8-25", "sg126-10-191", "sg126-8-38", "sg126-10-273"]
+
+
+@pytest.fixture
+def kernel_origins(monkeypatch):
+    """Records how many origins each kernel call computes."""
+    calls = []
+    kernel = fp_module._kernel_rows
+
+    def counting(design, origins):
+        calls.append(len(origins))
+        return kernel(design, origins)
+
+    monkeypatch.setattr(fp_module, "_kernel_rows", counting)
+    return calls
+
+
+@pytest.mark.parametrize("entry_id", ORBIT_GATE)
+def test_orbit_path_equals_full_kernel(entry_id, kernel_origins):
+    e = entry(entry_id)
+    developed = develop(e.group(), e.family())
+    fast = pair_histograms(developed)
+    full = pair_histograms(relabel(developed, range(126)))  # carries no action
+    one_rotational = e.mode is Mode.ONE_ROTATIONAL  # orbits: G and {∞}
+    assert kernel_origins == [2 if one_rotational else 1, 126]
+    assert fast.dtype == full.dtype
+    assert np.array_equal(fast, full)
+
+
+@pytest.mark.parametrize("entry_id", ["ex1-1", "sg126-1-1"])
+def test_relabeled_copy_takes_full_kernel(entry_id, kernel_origins):
+    d = design_of(entry_id)
+    perm = np.random.default_rng(7).permutation(126)
+    copy = relabel(d, perm)
+    assert copy.action is None
+    moved = np.empty_like(pair_histograms(d))
+    moved[perm[:, None], perm[None, :]] = pair_histograms(d)
+    assert np.array_equal(pair_histograms(copy), moved)
+    assert kernel_origins[-1] == 126
+    assert fingerprint(copy) == fingerprint(d)
