@@ -91,7 +91,7 @@ def load_entry(path: str | Path) -> CatalogEntry:
     path = Path(path)
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also undecodable bytes
         raise SchemaError(f"{path}: invalid JSON: {exc}") from None
     return entry_from_json(obj, path)
 
@@ -113,19 +113,22 @@ def entry_from_json(obj: dict, path: Path | None = None) -> CatalogEntry:
         raise SchemaError(f"bad group spec: {exc}") from None
     if obj["mode"] not in (Mode.TRANSITIVE.value, Mode.ONE_ROTATIONAL.value):
         raise SchemaError(f"bad mode {obj['mode']!r}")
-    if not isinstance(obj["base_blocks"], list) or not obj["base_blocks"]:
-        raise SchemaError("base_blocks must be a nonempty list")
+    if not isinstance(obj["base_blocks"], list) or not obj["base_blocks"] or not all(
+            isinstance(b, list) for b in obj["base_blocks"]):
+        raise SchemaError("base_blocks must be a nonempty list of lists")
     blocks = [[label_from_json(lab) for lab in b] for b in obj["base_blocks"]]
     fp = obj["expected_fingerprint"]
     if not isinstance(fp, dict):
         raise SchemaError("expected_fingerprint must be an object")
     try:
         fpd = {int(k): int(v) for k, v in fp.items()}
-    except ValueError:
+    except (ValueError, TypeError, OverflowError):
         raise SchemaError("expected_fingerprint keys/values must be integers") from None
     if sum(fpd.values()) != TOTAL_QUADRUPLES:
         raise SumInvariantError(
             f"expected fingerprint sums to {sum(fpd.values())}, not {TOTAL_QUADRUPLES}")
+    if not isinstance(obj.get("candidates", []), list):
+        raise SchemaError("candidates must be a list")
     candidates = [spec_from_json(c) for c in obj.get("candidates", [])]
     entry = CatalogEntry(
         id=obj["id"],

@@ -5,7 +5,8 @@ a, b in B, i.e. q^-1 p = b^-1 a.  So the number of distinct translates of B
 covering {p, q} equals the number of ordered pairs (a, b) in B with
 b^-1 a = q^-1 p, divided by the order of B's left stabilizer.  This module
 checks exact coverage directly from those counts; it is the independent
-counterpart to develop + verify_steiner.
+counterpart to develop + verify_steiner.  :func:`block_differences` is the one
+place that counts differences; the search reuses it.
 """
 
 from __future__ import annotations
@@ -14,8 +15,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import DifferenceFamily, Mode, resolve_family
+from .designs import BLOCK_SIZE, DifferenceFamily, Mode, resolve_family
+from .errors import IndexOutOfRange
 from .groups import CayleyGroup
+
+
+def block_differences(group: CayleyGroup, blocks) -> tuple:
+    """(counts, stabs) for a (C, k) array of element indices, one block per row.
+
+    counts[c, d] is the number of ordered pairs (a, b), a != b, of block c with
+    b^-1 a = d; stabs[c] is the order of {h : h*B = B}.  Such an h maps the
+    first element b0 into B, so h = a*b0^-1 for some a in B: k candidates.
+    """
+    n = group.order
+    blocks = np.asarray(blocks, dtype=np.int64)
+    if blocks.size and not (0 <= blocks.min() and blocks.max() < n):
+        raise IndexOutOfRange(f"block entries outside 0..{n - 1}")
+    n_blocks, k = blocks.shape
+    table, inverses = group.table, group.inverses
+    diffs = table[inverses[blocks][:, :, None], blocks[:, None, :]]  # [c, i, j] = b_i^-1 b_j
+    offsets = np.arange(n_blocks)[:, None, None] * n
+    counts = np.bincount((diffs + offsets).ravel(), minlength=n_blocks * n)
+    counts = counts.reshape(n_blocks, n)
+    counts[:, group.identity] = 0  # b^-1 a = e iff a = b
+    if k == 0:
+        return counts, np.full(n_blocks, n, dtype=np.int64)
+    hs = table[blocks, inverses[blocks[:, :1]]]  # [c, i] = b_i * b_0^-1
+    images = np.sort(table[hs[:, :, None], blocks[:, None, :]], axis=2)
+    stabs = (images == np.sort(blocks, axis=1)[:, None, :]).all(axis=2).sum(axis=1)
+    return counts, stabs
+
+
+def left_stabilizer_order(group: CayleyGroup, block: list) -> int:
+    """|{h : h*B = B}| for a set of group elements."""
+    return int(block_differences(group, [block])[1][0])
 
 
 @dataclass
@@ -30,31 +63,14 @@ class DifferenceCoverage:
         return int(self.counts.sum())
 
 
-def left_stabilizer_order(group: CayleyGroup, block: list) -> int:
-    """|{h : h*B = B}| for a set of group elements."""
-    bset = frozenset(block)
-    count = 0
-    for h in range(group.order):
-        if all(group.mul(h, b) in bset for b in block):
-            count += 1
-    return count
-
-
 def difference_coverage(group: CayleyGroup, family: DifferenceFamily) -> DifferenceCoverage:
-    inf_index = group.order
-    base = resolve_family(group, family)
     counts = np.zeros(group.order, dtype=np.int64)
     per_block = []
-    for block in base:
-        finite = [p for p in block if p != inf_index]
-        block_counts = np.zeros(group.order, dtype=np.int64)
-        for a in finite:
-            for b in finite:
-                if a != b:
-                    block_counts[group.mul(group.inv(b), a)] += 1
-        stab = left_stabilizer_order(group, finite)
-        counts += block_counts
-        per_block.append((finite, stab, block_counts))
+    for block in resolve_family(group, family):
+        finite = [p for p in block if p != group.order]
+        block_counts, stabs = block_differences(group, [finite])
+        counts += block_counts[0]
+        per_block.append((finite, int(stabs[0]), block_counts[0]))
     return DifferenceCoverage(counts, per_block)
 
 
@@ -75,51 +91,35 @@ def check_difference_family(group: CayleyGroup, family: DifferenceFamily) -> Dif
     1-rotational mode the distinct translates of the ∞-blocks' finite parts
     must additionally partition the group (pairs {x, ∞}).
     """
-    inf_index = group.order
-    defects = []
-    base = resolve_family(group, family)
-    if not base:
+    per_block = difference_coverage(group, family).per_block
+    if not per_block:
         return DifferenceCheck(False, ["empty family covers nothing"])
 
     n = group.order
+    defects = []
     quotiented = np.zeros(n, dtype=np.int64)
-    inf_blocks = []
-    for block in base:
-        finite = [p for p in block if p != inf_index]
-        if len(finite) < len(block):
-            inf_blocks.append(finite)
-        block_counts = np.zeros(n, dtype=np.int64)
-        for a in finite:
-            for b in finite:
-                if a != b:
-                    block_counts[group.mul(group.inv(b), a)] += 1
-        stab = left_stabilizer_order(group, finite)
+    for finite, stab, block_counts in per_block:
         if (block_counts % stab != 0).any():
             defects.append(
                 f"block {finite}: difference counts not divisible by stabilizer {stab}")
             return DifferenceCheck(False, defects)
         quotiented += block_counts // stab
 
-    for d in range(n):
+    expected = np.ones(n, dtype=np.int64)
+    expected[group.identity] = 0
+    for d in np.nonzero(quotiented != expected)[0]:
         if d == group.identity:
-            if quotiented[d] != 0:
-                defects.append(f"identity difference covered {quotiented[d]:g} times")
-            continue
-        if quotiented[d] != 1:
-            label = group.labels[d]
+            defects.append(f"identity difference covered {quotiented[d]:g} times")
+        else:
             word = "over" if quotiented[d] > 1 else "under"
             defects.append(
-                f"difference {label!r} {word}-covered ({quotiented[d]:g} times)")
+                f"difference {group.labels[d]!r} {word}-covered ({quotiented[d]:g} times)")
 
     if family.mode is Mode.ONE_ROTATIONAL:
-        translates = set()
-        for finite in inf_blocks:
-            for g in range(n):
-                translates.add(frozenset(group.mul(g, b) for b in finite))
-        covered = np.zeros(n, dtype=np.int64)
-        for translate in translates:
-            for x in translate:
-                covered[x] += 1
+        inf_blocks = [f for f, _, _ in per_block if len(f) < BLOCK_SIZE]
+        translates = group.table[:, np.asarray(inf_blocks, dtype=np.int64)]  # [g, i] = g*B_i
+        translates = np.sort(translates.reshape(-1, BLOCK_SIZE - 1), axis=1)
+        covered = np.bincount(np.unique(translates, axis=0).ravel(), minlength=n)
         bad = np.nonzero(covered != 1)[0]
         for x in bad[:10]:
             defects.append(

@@ -18,7 +18,7 @@ class InvalidAction(UnitalsError):
 
 
 class OrderMismatch(UnitalsError):
-    """Actor order incompatible with the declared action."""
+    """Group order above the supported bound, or actor order incompatible with the action."""
 
 
 class IndexOutOfRange(UnitalsError):

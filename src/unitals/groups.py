@@ -45,6 +45,9 @@ INF = _Infinity()
 #: int, tuple of labels, or the infinity sentinel
 ElementLabel = Union[int, tuple, _Infinity]
 
+#: largest group order accepted; a table is checked against it before it exists
+MAX_ORDER = 126
+
 
 def parse_element_label(text: str) -> ElementLabel:
     """Parse ``"7"``, ``"(2, 13)"``, ``"((0, 1), 3)"``, ``"inf"`` or ``"∞"``."""
@@ -365,8 +368,13 @@ def _coords(spec: GroupSpec, label: ElementLabel) -> tuple:
     return (label,)
 
 
+def _check_order(n: int) -> None:
+    if n > MAX_ORDER:
+        raise OrderMismatch(f"group order {n} exceeds the supported {MAX_ORDER}")
+
+
 def build_group(spec: GroupSpec) -> CayleyGroup:
-    """Construct and validate the group described by ``spec``.
+    """Construct and validate the group described by ``spec`` (order <= MAX_ORDER).
 
     Element indexing is mixed-radix lexicographic over the written coordinate
     order (leftmost most significant); semidirect multiplication is
@@ -376,6 +384,7 @@ def build_group(spec: GroupSpec) -> CayleyGroup:
         n = spec.n
         if n <= 0:
             raise OrderMismatch(f"cyclic order must be positive, got {n}")
+        _check_order(n)
         i = np.arange(n)
         table = (i[:, None] + i[None, :]) % n
         return _finish_group(table, tuple(range(n)))
@@ -383,6 +392,7 @@ def build_group(spec: GroupSpec) -> CayleyGroup:
     if isinstance(spec, Product):
         left, right = build_group(spec.left), build_group(spec.right)
         nl, nr = left.order, right.order
+        _check_order(nl * nr)
         tl = left.table.astype(np.int64)
         tr = right.table.astype(np.int64)
         # index (a, b) -> a*nr + b
@@ -406,6 +416,7 @@ def build_group(spec: GroupSpec) -> CayleyGroup:
                 f"actor order {actor.order} not a multiple of action order {ord_phi}"
             )
         nn, nh = normal.order, actor.order
+        _check_order(nn * nh)
         powers = np.empty((nh, nn), dtype=np.int64)
         powers[0] = np.arange(nn)
         for k in range(1, nh):
@@ -483,19 +494,20 @@ def load_cayley_table(path: str | Path) -> CayleyGroup:
 
     Lines starting with '#' are comments.  Row g, column h holds g*h.
     """
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append(line)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [line.strip() for line in fh]
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+    rows = [line for line in lines if line and not line.startswith("#")]
     if not rows:
         raise ParseError(f"{path}: empty table file")
     try:
         n = int(rows[0])
     except ValueError:
         raise ParseError(f"{path}: first line must be the order") from None
+    if n > MAX_ORDER:
+        raise ParseError(f"{path}: order {n} exceeds the supported {MAX_ORDER}")
     if len(rows) != n + 1:
         raise ParseError(f"{path}: expected {n} table rows, found {len(rows) - 1}")
     table = []
@@ -506,10 +518,10 @@ def load_cayley_table(path: str | Path) -> CayleyGroup:
             raise ParseError(f"{path}: non-integer entry in row {r}") from None
         if len(vals) != n:
             raise ParseError(f"{path}: row {r} has {len(vals)} entries, expected {n}")
+        if not all(0 <= v < n for v in vals):
+            raise ParseError(f"{path}: entries outside 0..{n - 1}")
         table.append(vals)
     arr = np.asarray(table, dtype=np.int64)
-    if arr.size and (arr.min() < 0 or arr.max() >= n):
-        raise ParseError(f"{path}: entries outside 0..{n - 1}")
     report = validate_table(arr)
     if not report.ok:
         raise ValidationError(f"{path}: {report}")

@@ -13,13 +13,14 @@ the identity (translation normalization).  Three candidate kinds:
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import BLOCK_SIZE, DifferenceFamily, Mode
-from .difference import check_difference_family, left_stabilizer_order
+from .designs import BLOCK_SIZE, DifferenceFamily, Mode, resolve_family
+from .difference import block_differences, check_difference_family, difference_coverage
 from .errors import InconsistentPartial, UnsupportedCanonicalization
 from .groups import INF, CayleyGroup, subgroups_of_order
 
@@ -61,25 +62,19 @@ class _Budget:
         self.stats = stats
         self.deadline = time.monotonic() + budget.time_limit_s
 
-    def tick(self) -> bool:
-        """Count a node; True while the search may continue."""
-        self.stats.nodes += 1
+    def tick(self, count: int = 1) -> bool:
+        """Count nodes; True while the search may continue.  A run of count
+        nodes is cut at the one that uses up the node budget."""
+        first = self.stats.nodes + 1
+        self.stats.nodes += count
         if self.stats.nodes >= self.budget.max_nodes or time.monotonic() > self.deadline:
+            self.stats.nodes = max(first, min(self.stats.nodes, self.budget.max_nodes))
             self.stats.budget_hit = True
             return False
         return True
 
     def solutions_left(self) -> bool:
         return self.stats.solutions < self.budget.max_solutions
-
-
-def _block_differences(group: CayleyGroup, block) -> np.ndarray:
-    counts = np.zeros(group.order, dtype=np.int64)
-    for a in block:
-        for b in block:
-            if a != b:
-                counts[group.mul(group.inv(b), a)] += 1
-    return counts
 
 
 @dataclass
@@ -90,41 +85,19 @@ class _StabilizedCandidate:
 
 def _stabilized_candidates(group: CayleyGroup) -> list:
     """Coset-union blocks (one per left-stabilizer class), quotient-exact only."""
-    out = []
-    seen = set()
-    n = group.order
+    blocks = {}  # insertion-ordered: the DFS tries candidates in discovery order
     for s in (6, 3, 2):
-        if BLOCK_SIZE % s != 0:
-            continue
         for sub in subgroups_of_order(group, s):
-            sub_sorted = sorted(sub)
-            cosets = sorted({tuple(sorted(group.mul(h, x) for h in sub_sorted))
-                             for x in range(n)})
-            others = [c for c in cosets if group.identity not in c]
-            base = tuple(sorted(sub_sorted))
-            for extra in _coset_combinations(others, BLOCK_SIZE // s - 1):
-                block = tuple(sorted(base + sum(extra, ())))
-                if block in seen:
-                    continue
-                seen.add(block)
-                counts = _block_differences(group, block)
-                stab = left_stabilizer_order(group, list(block))
-                if (counts % stab != 0).any():
-                    continue
-                quot = counts // stab
-                if quot.max() > 1:
-                    continue  # would cover some difference twice
-                out.append(_StabilizedCandidate(block, quot == 1))
-    return out
-
-
-def _coset_combinations(cosets: list, k: int):
-    if k == 0:
-        yield ()
-        return
-    for i, c in enumerate(cosets):
-        for rest in _coset_combinations(cosets[i + 1:], k - 1):
-            yield (c,) + rest
+            sub = tuple(sorted(sub))
+            cosets = np.unique(np.sort(group.table[list(sub)].T, axis=1), axis=0)  # rows S*x
+            others = [tuple(c) for c in cosets.tolist() if group.identity not in c]
+            for extra in itertools.combinations(others, BLOCK_SIZE // s - 1):
+                blocks.setdefault(tuple(sorted(sum(extra, sub))), None)
+    counts, stabs = block_differences(group, list(blocks))
+    quot = counts // stabs[:, None]
+    # exact quotient, and no difference covered twice
+    keep = (counts % stabs[:, None] == 0).all(axis=1) & (quot.max(axis=1) <= 1)
+    return [_StabilizedCandidate(b, q == 1) for b, q, k in zip(blocks, quot, keep) if k]
 
 
 def _inf_block_candidates(group: CayleyGroup) -> list:
@@ -140,12 +113,10 @@ class _Searcher:
         self.stats = stats
         self.budget = _Budget(budget, stats)
         self.canonical_transforms = canonical_transforms
-        self.inv = group.inverses
         self.table = group.table
-        n = group.order
-        self.is_involution = np.zeros(n, dtype=bool)
-        for g in range(n):
-            self.is_involution[g] = group.mul(g, g) == group.identity and g != group.identity
+        self.quotients = group.table[group.inverses].tolist()  # [a][b] = a^-1 b
+        x = np.arange(group.order)
+        self.is_involution = (group.inverses == x) & (x != group.identity)
         self.stabilized = _stabilized_candidates(group) if mode is Mode.TRANSITIVE else []
 
     # ------------------------------------------------------------------
@@ -196,37 +167,37 @@ class _Searcher:
         yield from self._full_blocks(fixed, chosen, uncovered, delta)
 
     def _full_blocks(self, fixed, chosen, uncovered, delta):
-        """Blocks {e, delta, x3..x6} with 30 distinct uncovered differences."""
-        group = self.group
-        e = group.identity
-        used = np.zeros(group.order, dtype=bool)
+        """Blocks {e, delta, x3..x6} with 30 distinct uncovered differences.
 
-        def add_diffs(x, members):
-            """Register differences of x against members; None if infeasible."""
-            new = []
-            for s in members:
-                d1 = int(self.table[self.inv[s], x])
-                d2 = int(self.table[self.inv[x], s])
-                if d1 == d2:  # involution difference: needs a stabilized block
-                    undo(new)
-                    return None
-                ok = True
-                for d in (d1, d2):
-                    if used[d] or not uncovered[d] or d == e:
-                        ok = False
-                        break
-                    used[d] = True
-                    new.append(d)
-                if not ok:
-                    undo(new)
-                    return None
-            return new
+        free holds the differences that are uncovered and not yet covered by
+        the block being built; x fits the members when its differences s^-1 x
+        and x^-1 s with them are free and pairwise distinct (s^-1 x = x^-1 s
+        is an involution difference, which needs a stabilized block).  An
+        element that fits a level fitted the level above too, so each level
+        tests only the later elements that fitted the level above, and only
+        against the member added last.  Nodes count as in an
+        element-by-element scan, one per non-member element tried after the
+        last member (only e and delta can come later); the run up to the next
+        fitting element counts at once.
+        """
+        n = self.group.order
+        e = self.group.identity
+        quo = self.quotients
+        free = set(np.flatnonzero(uncovered).tolist()) - {e}
 
-        def undo(new):
-            for d in new:
-                used[d] = False
+        def fitting(cands, last, taken):
+            """(x, differences of x with the members) for the candidates that
+            fit; cands hold each x with its differences with the members
+            before last, and taken holds last's own differences."""
+            out = []
+            for x, ds in cands:
+                p, q = quo[last][x], quo[x][last]
+                if (p != q and p in free and q in free and p not in ds and q not in ds
+                        and ds.isdisjoint(taken)):
+                    out.append((x, ds | {p, q}))
+            return out
 
-        def rec(members, start):
+        def rec(members, start, cands, taken):
             if self.stats.budget_hit or not self.budget.solutions_left():
                 return
             if len(members) == BLOCK_SIZE:
@@ -235,31 +206,35 @@ class _Searcher:
                         and not fixed and not chosen
                         and not self._first_block_canonical(block, delta)):
                     return
-                cov = used.copy()
+                still = np.zeros(n, dtype=bool)
+                still[list(free)] = True
                 chosen.append(block)
-                yield from self._extend(fixed, chosen, uncovered & ~cov, False)
+                yield from self._extend(fixed, chosen, still, False)
                 chosen.pop()
                 return
-            for x in range(start, group.order):
-                if x in members:
-                    continue
-                if not self.budget.tick():
+            fits = fitting(cands, members[-1], taken)
+            pos = start
+            for i, (x, ds) in enumerate(fits):
+                if not self.budget.tick(x + 1 - pos - (pos <= e < x) - (pos <= delta < x)):
                     return
-                new = add_diffs(x, members)
-                if new is None:
-                    continue
+                pos = x + 1
+                free.difference_update(ds)
                 members.append(x)
-                yield from rec(members, x + 1)
+                yield from rec(members, x + 1, fits[i + 1:], ds)
                 members.pop()
-                undo(new)
+                free.update(ds)
                 if self.stats.budget_hit:
                     return
+            rest = n - pos - (e >= pos) - (delta >= pos)
+            if rest:
+                self.budget.tick(rest)
 
-        seed = add_diffs(delta, [e])
-        if seed is None:
+        cands = fitting([(x, set()) for x in range(1, n)], e, set())
+        seed = [ds for x, ds in cands if x == delta]
+        if not seed:
             return
-        yield from rec([e, delta], 1)
-        undo(seed)
+        free.difference_update(seed[0])
+        yield from rec([e, delta], 1, cands, seed[0])
 
     def _first_block_canonical(self, block, delta) -> bool:
         """Is the block lexicographically minimal among its images under the
@@ -280,21 +255,10 @@ class _Searcher:
 
 def _fixed_state(group: CayleyGroup, partial: PartialFamily):
     """(index blocks, uncovered array, need_inf) from the fixed blocks."""
-    inf_index = group.order
-    fam = DifferenceFamily(partial.mode, partial.fixed_blocks) if partial.fixed_blocks else None
-    blocks_idx = []
-    if fam is not None:
-        from .designs import resolve_family
-
-        blocks_idx = resolve_family(group, fam)
+    family = DifferenceFamily(partial.mode, partial.fixed_blocks)
+    per_block = difference_coverage(group, family).per_block  # checks mode vs order
     quotiented = np.zeros(group.order, dtype=np.int64)
-    have_inf = False
-    for block in blocks_idx:
-        finite = [p for p in block if p != inf_index]
-        if len(finite) < len(block):
-            have_inf = True
-        counts = _block_differences(group, finite)
-        stab = left_stabilizer_order(group, finite)
+    for _, stab, counts in per_block:
         if (counts % stab != 0).any():
             raise InconsistentPartial("difference counts not divisible by stabilizer")
         quotiented += counts // stab
@@ -302,12 +266,11 @@ def _fixed_state(group: CayleyGroup, partial: PartialFamily):
         over = int(np.nonzero(quotiented > 1)[0][0])
         raise InconsistentPartial(
             f"difference {group.labels[over]!r} covered {int(quotiented[over])} times")
-    if quotiented[group.identity] != 0:
-        raise InconsistentPartial("identity difference covered")
     uncovered = quotiented == 0
     uncovered[group.identity] = False
+    have_inf = any(len(finite) < BLOCK_SIZE for finite, _, _ in per_block)
     need_inf = partial.mode is Mode.ONE_ROTATIONAL and not have_inf
-    return blocks_idx, uncovered, need_inf
+    return resolve_family(group, family), uncovered, need_inf
 
 
 def _blocks_to_family(group: CayleyGroup, mode: Mode, index_blocks: list) -> DifferenceFamily:
@@ -407,16 +370,13 @@ def search_families(group: CayleyGroup, mode: Mode | str,
     mode = Mode(mode)
     budget = budget or SearchBudget()
     stats = stats if stats is not None else SearchStats()
+    _, uncovered, need_inf = _fixed_state(group, PartialFamily(mode, []))
     transforms = None
     if canonicalize:
         if aut_generators is None:
             aut_generators = multiplier_generators(group)  # raises if non-abelian
         transforms = _closure_of_perms(aut_generators, group.order)
     searcher = _Searcher(group, mode, budget, stats, canonical_transforms=transforms)
-    uncovered = np.ones(group.order, dtype=bool)
-    uncovered[group.identity] = False
-    need_inf = mode is Mode.ONE_ROTATIONAL
-
     seen_keys = set()
     for idx_blocks in searcher.run([], uncovered, need_inf):
         fam = _blocks_to_family(group, mode, idx_blocks)

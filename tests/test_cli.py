@@ -232,3 +232,139 @@ def test_aut_cut_short_exits_4_with_bound(capsys, monkeypatch):
     code, out, _ = run(capsys, "aut", path_of("ex1-1"), "--json")
     assert code == 4
     assert json.loads(out)["complete"] is False
+
+
+@pytest.mark.parametrize("order, mode", [(125, "transitive"), (13, "transitive"),
+                                         (13, "one-rotational")])
+def test_search_mode_order_mismatch_exits_3(capsys, tmp_path, order, mode):
+    p = tmp_path / "group.json"
+    p.write_text(json.dumps({"cyclic": order}))
+    code, out, err = run(capsys, "search", "--group", str(p), "--mode", mode,
+                         "--max-nodes", "20000")
+    assert code == 3
+    assert "development needs group order" in err
+    assert out == ""
+
+
+# orders that are rejected before any table exists; never use orders between
+# about 1e3 and 1e5 here, which an unbounded build would try to allocate
+HUGE_SPECS = [{"cyclic": 10**12},
+              {"product": [{"cyclic": 10**6}, {"cyclic": 10**6}]}]
+
+
+@pytest.mark.parametrize("spec", HUGE_SPECS)
+def test_search_huge_group_exits_3(capsys, tmp_path, spec):
+    p = tmp_path / "group.json"
+    p.write_text(json.dumps(spec))
+    code, _, err = run(capsys, "search", "--group", str(p), "--mode", "transitive")
+    assert code == 3
+    assert "exceeds" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", HUGE_SPECS)
+def test_verify_huge_group_exits_3(capsys, tmp_path, spec):
+    obj = entry_to_json(entry("ex1-1"))
+    obj["group"] = spec
+    p = tmp_path / "family.json"
+    p.write_text(json.dumps(obj))
+    code, _, err = run(capsys, "verify", str(p))
+    assert code == 3
+    assert "exceeds" in err
+
+
+def test_group_validate_huge_header_exits_1(capsys, tmp_path):
+    p = tmp_path / "huge.txt"
+    p.write_text("1000000\n0\n")
+    code, out, _ = run(capsys, "group", "validate", str(p))
+    assert code == 1
+    assert "exceeds" in out
+
+
+@pytest.mark.parametrize("field, value", [
+    ("base_blocks", [5]),
+    ("candidates", 5),
+    ("expected_fingerprint", {"1": None}),
+])
+def test_verify_malformed_family_field_exits_3(capsys, tmp_path, field, value):
+    obj = entry_to_json(entry("ex1-1"))
+    obj[field] = value
+    p = tmp_path / "family.json"
+    p.write_text(json.dumps(obj))
+    code, _, err = run(capsys, "verify", str(p))
+    assert code == 3
+    assert "error:" in err
+
+
+def test_verify_undecodable_family_exits_3(capsys, tmp_path):
+    p = tmp_path / "family.json"
+    p.write_bytes(b'{"id": "\xff\xfe"}')
+    code, _, err = run(capsys, "verify", str(p))
+    assert code == 3
+    assert "error:" in err
+
+
+def test_group_validate_undecodable_table_exits_1(capsys, tmp_path):
+    p = tmp_path / "table.txt"
+    p.write_bytes(b"3\n0 1 2\n1 2 0\n2 0 \xff\n")
+    code, out, _ = run(capsys, "group", "validate", str(p))
+    assert code == 1
+    assert "UTF-8" in out
+
+
+# junk that no entry field accepts: no strings, so "id" and "source" reject it too
+_field_junk = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+    st.lists(st.one_of(st.none(), st.integers(), st.lists(st.none(), max_size=2)),
+             min_size=1, max_size=3),
+    st.dictionaries(st.text(alphabet="ab1", max_size=3), st.one_of(st.none(), st.floats()),
+                    min_size=1, max_size=2),
+)
+
+
+@given(st.sampled_from(["id", "group", "mode", "base_blocks", "expected_fingerprint",
+                        "source", "candidates", "extra"]), _field_junk)
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_verify_fuzzed_family_field_exits_3(capsys, tmp_path, field, junk):
+    obj = entry_to_json(entry("ex1-1"))
+    obj[field] = junk
+    p = tmp_path / "family.json"
+    p.write_text(json.dumps(obj))
+    code, _, err = run(capsys, "verify", str(p))
+    assert code == 3, (field, junk)
+    assert "Traceback" not in err
+
+
+_Z3_LINES = ["3", "0 1 2", "1 2 0", "2 0 1"]
+
+
+@st.composite
+def _broken_table(draw):
+    """The Z_3 table file with one defect that makes it invalid."""
+    lines = [line.split() for line in _Z3_LINES]
+    kind = draw(st.sampled_from(["junk", "order", "entry", "bytes"]))
+    row = draw(st.integers(0 if kind == "junk" else 1, 3))
+    col = draw(st.integers(0, len(lines[row]) - 1))
+    if kind == "junk":
+        lines[row][col] = draw(st.text(alphabet="xyz.,/é", min_size=1, max_size=4))
+    elif kind == "order":
+        lines[0][0] = str(draw(st.integers().filter(lambda n: n != 3)))
+    elif kind == "entry":  # a table entry outside 0..2
+        lines[row][col] = str(draw(st.one_of(st.integers(max_value=-1),
+                                             st.integers(min_value=3))))
+    text = "\n".join(" ".join(line) for line in lines).encode()
+    if kind == "bytes":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + b"\xff" + draw(st.binary(max_size=4)) + text[at:]
+    return text
+
+
+@given(_broken_table())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_group_validate_fuzzed_table_exits_1(capsys, tmp_path, content):
+    p = tmp_path / "table.txt"
+    p.write_bytes(content)
+    code, _, err = run(capsys, "group", "validate", str(p))
+    assert code == 1, content
+    assert "Traceback" not in err

@@ -1,14 +1,41 @@
 """Algebraic difference-family checking against the develop+verify oracle."""
 
+import itertools
+
 import numpy as np
+import pytest
 from conftest import entry
 from unitals.designs import DifferenceFamily, Mode, develop, verify_steiner
 from unitals.difference import (
+    block_differences,
     check_difference_family,
     difference_coverage,
     left_stabilizer_order,
 )
-from unitals.groups import Cyclic, build_group
+from unitals.errors import IndexOutOfRange
+from unitals.groups import Cyclic, build_group, subgroups_of_order
+
+
+def slow_differences(group, block):
+    """Oracle: counts and left-stabilizer order from group.mul / group.inv alone."""
+    counts = np.zeros(group.order, dtype=np.int64)
+    for a in block:
+        for b in block:
+            if a != b:
+                counts[group.mul(group.inv(b), a)] += 1
+    stab = sum(all(group.mul(h, b) in set(block) for b in block)
+               for h in range(group.order))
+    return counts, stab
+
+
+def assert_matches_oracle(group, blocks):
+    counts, stabs = block_differences(group, blocks)
+    assert counts.shape == (len(blocks), group.order)
+    for block, row, stab in zip(blocks, counts, stabs):
+        want_counts, want_stab = slow_differences(group, list(block))
+        assert np.array_equal(row, want_counts), block
+        assert stab == want_stab, block
+    return stabs
 
 
 def test_ex1_1_full_block_coverage(z125, ex1_1):
@@ -117,3 +144,50 @@ def test_transitive_family_with_short_orbits():
     # at least one base block of this family has a non-trivial stabilizer
     stabs = [left_stabilizer_order(g, [int(x) for x in b]) for b in e.base_blocks]
     assert max(stabs) > 1
+
+
+@pytest.mark.parametrize("entry_id", ["ex1-1", "ex3-1", "sg126-1-1", "sg126-12-1"])
+def test_block_differences_random_blocks(entry_id):
+    g = entry(entry_id).group()
+    rng = np.random.default_rng(11)
+    for k in (1, 2, 5, 6):
+        blocks = np.array([rng.choice(g.order, size=k, replace=False) for _ in range(8)])
+        assert_matches_oracle(g, blocks)
+
+
+@pytest.mark.parametrize("s", [2, 3, 6])
+def test_block_differences_coset_unions(s):
+    # S together with 6/s - 1 further right cosets S*x is fixed by every h in S;
+    # take the first such union whose stabilizer is exactly S
+    g = entry("sg126-1-1").group()
+    sub = sorted(subgroups_of_order(g, s)[0])
+    cosets = sorted({tuple(sorted(g.mul(h, x) for h in sub)) for x in range(g.order)})
+    others = [c for c in cosets if g.identity not in c]
+    for extra in itertools.combinations(others, 6 // s - 1):
+        block = sorted(sub + [x for c in extra for x in c])
+        if slow_differences(g, block)[1] == s:
+            break
+    stabs = assert_matches_oracle(g, np.array([block]))
+    assert stabs[0] == s
+
+
+def test_block_differences_infinity_block_finite_part(z125, ex1_1):
+    finite = [x for x in ex1_1.base_blocks[-1] if isinstance(x, int)]
+    assert finite == [0, 25, 50, 75, 100]
+    stabs = assert_matches_oracle(z125, np.array([finite]))
+    assert stabs[0] == 5
+
+
+def test_block_differences_empty_block(z125):
+    counts, stabs = block_differences(z125, np.zeros((1, 0), dtype=int))
+    assert not counts.any()
+    assert stabs.tolist() == [125]
+    assert left_stabilizer_order(z125, []) == 125
+
+
+@pytest.mark.parametrize("block", [[0, 1, 125], [-1, 2, 3], [0, 10**9]])
+def test_block_differences_range_checked(z125, block):
+    with pytest.raises(IndexOutOfRange):
+        block_differences(z125, [block])
+    with pytest.raises(IndexOutOfRange):
+        left_stabilizer_order(z125, block)

@@ -215,3 +215,29 @@ def test_random_mutations_caught(n, data):
             return
         t[i, j], t[i, k] = t[i, k], t[i, j]
     assert not validate_table(t).ok
+
+
+# Every spec below is rejected before its table is formed.  The product and
+# semidirect orders (144, 250) are small enough that an unbounded build would
+# only take milliseconds; orders between about 1e3 and 1e5 must never appear
+# here, since an unbounded build would allocate gigabytes for them.
+@pytest.mark.parametrize("spec", [
+    Cyclic(10**12),
+    Product(Cyclic(10**6), Cyclic(10**6)),
+    Product(Cyclic(12), Cyclic(12)),
+    Semidirect(Cyclic(25), Cyclic(10), ((1, 6),)),
+])
+def test_build_group_rejects_orders_above_126(spec):
+    with pytest.raises(OrderMismatch, match="exceeds"):
+        build_group(spec)
+
+
+def test_build_group_accepts_order_126():
+    assert build_group(Product(Cyclic(2), Cyclic(63))).order == 126
+
+
+def test_load_cayley_table_rejects_huge_order(tmp_path):
+    p = tmp_path / "huge.txt"
+    p.write_text("1000000\n0\n")
+    with pytest.raises(ParseError, match="exceeds"):
+        load_cayley_table(p)

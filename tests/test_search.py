@@ -5,13 +5,14 @@ import pytest
 from conftest import entry
 from unitals.designs import Mode, develop, verify_steiner
 from unitals.difference import check_difference_family
-from unitals.errors import InconsistentPartial, UnsupportedCanonicalization
-from unitals.groups import INF
+from unitals.errors import InconsistentPartial, ModeOrderMismatch, UnsupportedCanonicalization
+from unitals.groups import INF, Cyclic, build_group
 from unitals.isomorph import canonical_key
 from unitals.search import (
     PartialFamily,
     SearchBudget,
     SearchStats,
+    _stabilized_candidates,
     complete_family,
     search_families,
 )
@@ -132,3 +133,107 @@ def test_transitive_completion_with_stabilized_blocks():
     assert fams
     for fam in fams:
         assert verify_steiner(develop(g, fam)).is_steiner
+
+
+# Recorded before the difference counting was batched.  The DFS tries the
+# stabilized candidates in list order, so these pin that order: for sg126-10-5
+# the two completions swap places if the list is reversed.
+PINNED_COMPLETIONS = {
+    # entry, removed block: (nodes, solutions, nodes to the first solution, completions)
+    ("sg126-2-1", 1): (1955, 1, 427, [
+        [[0, 1, 3, 6, 11, 17], [0, 4, 21, 72, 78, 85], [0, 5, 32, 53, 56, 76],
+         [0, 9, 77, 83, 117, 124], [0, 2, 7, 23, 42, 71]]]),
+    ("sg126-10-5", 3): (487, 2, 2, [
+        [[0, 1, 2, 5, 8, 14], [0, 3, 10, 24, 69, 76], [0, 6, 41, 86, 93, 120],
+         [0, 12, 23, 27, 50, 83], [0, 16, 28, 58, 72, 104], [0, 20, 22, 53, 99, 101],
+         [0, 7, 9, 31, 36, 63]],
+        [[0, 1, 2, 5, 8, 14], [0, 3, 10, 24, 69, 76], [0, 6, 41, 86, 93, 120],
+         [0, 12, 23, 27, 50, 83], [0, 16, 28, 58, 72, 104], [0, 20, 22, 53, 99, 101],
+         [0, 89, 98, 102, 106, 110]]]),
+    ("sg126-12-41", 1): (1551, 2, 393, [
+        [[0, 1, 4, 7, 13, 19], [0, 5, 38, 58, 84, 96], [0, 6, 25, 73, 90, 125],
+         [0, 9, 53, 74, 104, 116], [0, 2, 3, 26, 77, 112]],
+        [[0, 1, 4, 7, 13, 19], [0, 5, 38, 58, 84, 96], [0, 6, 25, 73, 90, 125],
+         [0, 9, 53, 74, 104, 116], [0, 2, 28, 61, 93, 110]]]),
+}
+
+
+@pytest.mark.parametrize("entry_id, removed", list(PINNED_COMPLETIONS))
+def test_transitive_completion_pinned(entry_id, removed):
+    nodes, solutions, first_nodes, completions = PINNED_COMPLETIONS[entry_id, removed]
+    e = entry(entry_id)
+    g = e.group()
+    partial = PartialFamily(Mode.TRANSITIVE,
+                            [b for i, b in enumerate(e.base_blocks) if i != removed])
+    stats = SearchStats()
+    fams = complete_family(g, partial, SearchBudget(max_nodes=200_000), stats)
+    assert (stats.nodes, stats.solutions, stats.budget_hit) == (nodes, solutions, False)
+    assert [f.base_blocks for f in fams] == completions
+    stats = SearchStats()
+    fams = complete_family(g, partial, SearchBudget(max_nodes=200_000, max_solutions=1),
+                           stats)
+    assert (stats.nodes, stats.solutions) == (first_nodes, 1)
+    assert [f.base_blocks for f in fams] == completions[:1]
+
+
+@pytest.mark.parametrize("entry_id, count, head, last", [
+    ("sg126-10-1", 778,
+     [(0, 1, 2, 5, 8, 14), (0, 1, 3, 6, 11, 17), (0, 1, 9, 15, 36, 45)],
+     (0, 89, 98, 102, 106, 110)),
+    ("sg126-12-1", 1012,
+     [(0, 1, 2, 5, 8, 14), (0, 1, 4, 7, 13, 19), (0, 2, 7, 8, 16, 29)],
+     (0, 19, 112, 115, 118, 120)),
+])
+def test_stabilized_candidates_order_pinned(entry_id, count, head, last):
+    cands = _stabilized_candidates(entry(entry_id).group())
+    assert len(cands) == count
+    assert [c.block for c in cands[:3]] + [cands[-1].block] == head + [last]
+    assert all(c.covered.sum() == 5 for c in cands[:3])
+
+
+@pytest.mark.parametrize("order, mode", [(125, Mode.TRANSITIVE), (126, Mode.ONE_ROTATIONAL),
+                                         (13, Mode.TRANSITIVE), (13, Mode.ONE_ROTATIONAL)])
+def test_search_checks_mode_against_order(order, mode):
+    g = build_group(Cyclic(order))
+    stats = SearchStats()
+    with pytest.raises(ModeOrderMismatch):
+        next(search_families(g, mode, SearchBudget(max_nodes=10), stats=stats))
+    assert stats.nodes == 0
+    with pytest.raises(ModeOrderMismatch):
+        complete_family(g, PartialFamily(mode, []))
+
+
+# Recorded before the full-block scan was batched, with an element-by-element
+# scan; the batched scan must count the same nodes, also where a budget cuts
+# the search (ex2-4 with 500 nodes ends at 501: the ∞-block loop counts one
+# more node after the budget is used up).  In sg126-12-15 a full block with an
+# involution difference s^-1 x = x^-1 s would be tried if it were not refused.
+PINNED_FULL_BLOCK_SEARCHES = [
+    # entry, removed blocks (None: keep only the first), max_nodes, max_solutions,
+    # then nodes, solutions, budget_hit
+    ("ex1-1", None, 4_000_000, 2, 1808010, 2, False),
+    ("ex2-4", None, 4_000_000, 2, 1882448, 2, False),
+    ("ex2-4", None, 500, 2, 501, 0, True),
+    ("ex1-5", [1, 3], 2_000_000, 100_000, 27681, 4, False),
+    ("ex1-4", [1, 2], 2_000_000, 100_000, 17632, 4, False),
+    ("ex2-15", [0, 1], 2463, 10**6, 2463, 2, True),
+    ("ex1-5", [2, 3], 2_000_000, 1, 5773, 1, False),
+    ("sg126-12-15", [0, 1], 2_000_000, 100_000, 2305, 1, False),
+]
+
+
+@pytest.mark.parametrize("entry_id, removed, max_nodes, max_solutions, nodes, solutions, hit",
+                         PINNED_FULL_BLOCK_SEARCHES)
+def test_full_block_search_counts_pinned(entry_id, removed, max_nodes, max_solutions,
+                                         nodes, solutions, hit):
+    e = entry(entry_id)
+    g = e.group()
+    kept = (e.base_blocks[:1] if removed is None
+            else [b for i, b in enumerate(e.base_blocks) if i not in removed])
+    stats = SearchStats()
+    fams = complete_family(g, PartialFamily(e.mode, kept),
+                           SearchBudget(max_nodes=max_nodes, max_solutions=max_solutions), stats)
+    assert (stats.nodes, stats.solutions, stats.budget_hit) == (nodes, solutions, hit)
+    assert len(fams) == solutions
+    for fam in fams:
+        assert check_difference_family(g, fam)
