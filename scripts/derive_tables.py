@@ -110,10 +110,6 @@ def numbering(k: CayleyGroup, gens, radices, mode: str,
     return np.asarray(elems, dtype=np.int64)
 
 
-def elements_of_order(k: CayleyGroup, d: int) -> list:
-    return [g for g in range(k.order) if k.element_order(g) == d]
-
-
 def test_candidate(k: CayleyGroup, gens, radices, families,
                    mode: str, table_rows: list) -> tuple | None:
     """Relabeled group if every family verifies with matching fingerprint."""
@@ -177,7 +173,7 @@ def candidate_tuples(k: CayleyGroup, alpha: int, delta: int):
     """(gens, radices) candidates: two 3-slots drawn from elements whose cube
     falls deeper in the chain (orders 3, 9, 21, 63), in the pc sequences that
     keep every tail subgroup normal."""
-    p3 = [g for g in range(k.order) if k.element_order(g) in (3, 9, 21, 63)]
+    p3 = np.flatnonzero(np.isin(k.orders, (3, 9, 21, 63))).tolist()
     sequences = [
         ((0, 1, 2, 3), (2, 3, 3, 7)),  # a b c d
         ((0, 1, 3, 2), (2, 3, 7, 3)),  # a b d c

@@ -3,7 +3,8 @@
 Human-readable results go to stdout and diagnostics to stderr; --json switches
 stdout to one JSON object per line.  Exit codes are a stable contract:
 0 success, 1 verification/reproduction mismatch, 2 usage error,
-3 input/parse error, 4 budget exhausted (search, or aut printing a lower bound).
+3 input/parse error, 4 budget exhausted (search, aut printing a lower bound,
+or iso left undecided).
 """
 
 from __future__ import annotations
@@ -149,9 +150,15 @@ def _cmd_iso(args) -> int:
     if args.json:
         print(json.dumps({"a": ea.id, "b": eb.id,
                           "isomorphic": result.isomorphic,
+                          "complete": result.complete,
                           "witness": result.witness}))
+    elif not result.complete:
+        print("undecided")
     else:
         print("isomorphic" if result.isomorphic else "non-isomorphic")
+    if not result.complete:
+        print("time budget exhausted: isomorphism is undecided", file=sys.stderr)
+        return EXIT_BUDGET
     return EXIT_OK
 
 

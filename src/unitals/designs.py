@@ -214,7 +214,11 @@ class VerificationReport:
 
 
 def verify_steiner(design: Design) -> VerificationReport:
-    """Exact pair-coverage count over all unordered point pairs."""
+    """Exact pair-coverage count over all unordered point pairs.
+
+    The verdict is kept in ``design._cache["steiner_ok"]``, where the
+    fingerprint's precondition reads it instead of counting again.
+    """
     n = design.n_points
     _, lows, highs = design.block_pairs()
     cov = np.bincount(lows.astype(np.int64) * n + highs, minlength=n * n).reshape(n, n)
@@ -232,6 +236,7 @@ def verify_steiner(design: Design) -> VerificationReport:
         and block_sizes_ok
         and duplicates == 0
     )
+    design._cache["steiner_ok"] = is_steiner
     return VerificationReport(is_steiner, design.block_count, defects, duplicates)
 
 

@@ -9,6 +9,7 @@ semidirect products, matching the tuple notation of the catalog data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
@@ -17,6 +18,7 @@ import numpy as np
 from .errors import (
     IndexOutOfRange,
     InvalidAction,
+    LabelNotInGroup,
     OrderMismatch,
     ParseError,
     ValidationError,
@@ -247,8 +249,6 @@ class CayleyGroup:
         return int(self.inverses[g])
 
     def resolve(self, label: ElementLabel) -> int:
-        from .errors import LabelNotInGroup
-
         try:
             return self.index[label]
         except (KeyError, TypeError):
@@ -256,23 +256,18 @@ class CayleyGroup:
                 f"label {format_element_label(label)} not in group of order {self.order}"
             ) from None
 
-    def element_order(self, g: int) -> int:
-        k, x = 1, g
-        while x != self.identity:
-            x = self.mul(x, g)
-            k += 1
-        return k
+    @cached_property
+    def orders(self) -> np.ndarray:
+        """(n,) int64: the order of every element, from powers taken all at once."""
+        elems = np.arange(self.order)
+        power, orders, k = elems, np.zeros(self.order, dtype=np.int64), 1
+        while not orders.all():
+            orders[(power == self.identity) & (orders == 0)] = k
+            power, k = self.table[power, elems], k + 1
+        return orders
 
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.table, self.table.T))
-
-
-def multiply(group: CayleyGroup, g: int, h: int) -> int:
-    return group.mul(g, h)
-
-
-def inverse(group: CayleyGroup, g: int) -> int:
-    return group.inv(g)
 
 
 @dataclass
@@ -280,6 +275,8 @@ class ValidationReport:
     """All failed invariant classes of a would-be Cayley table."""
 
     failures: list  # (kind, message) pairs
+    identity: int | None = None  # set when a two-sided identity exists
+    inverses: np.ndarray | None = None  # set when all inverses are two-sided
 
     @property
     def ok(self) -> bool:
@@ -303,62 +300,50 @@ def validate_table(table: Sequence[Sequence[int]]) -> ValidationReport:
     n = arr.shape[0]
     if arr.min() < 0 or arr.max() >= n:
         return ValidationReport([("range", "entries outside 0..n-1")])
+    arr = arr.astype(np.min_scalar_type(n))  # exact, and a small gather below
 
     full = np.arange(n)
-    latin_ok = True
-    for g in range(n):
-        if not np.array_equal(np.sort(arr[g]), full):
-            failures.append(("latin-square", f"row {g} is not a permutation"))
-            latin_ok = False
-            break
-    for g in range(n):
-        if not np.array_equal(np.sort(arr[:, g]), full):
-            failures.append(("latin-square", f"column {g} is not a permutation"))
-            latin_ok = False
-            break
+    bad_rows = np.flatnonzero((np.sort(arr, axis=1) != full).any(axis=1))
+    bad_cols = np.flatnonzero((np.sort(arr, axis=0) != full[:, None]).any(axis=0))
+    for where, bad in (("row", bad_rows), ("column", bad_cols)):
+        if len(bad):
+            failures.append(("latin-square", f"{where} {bad[0]} is not a permutation"))
 
-    identity = None
-    for e in range(n):
-        if np.array_equal(arr[e], full) and np.array_equal(arr[:, e], full):
-            identity = e
-            break
+    two_sided = np.flatnonzero((arr == full).all(axis=1) & (arr.T == full).all(axis=1))
+    identity = int(two_sided[0]) if len(two_sided) else None
     if identity is None:
         failures.append(("identity", "no two-sided identity element"))
 
     # (g*h)*k vs g*(h*k), exhaustive over all n^3 triples
     lhs = arr[arr, :]
     rhs = arr[:, arr.reshape(-1)].reshape(n, n, n)
-    if not np.array_equal(lhs, rhs):
-        g, h, k = (int(x[0]) for x in np.nonzero(lhs != rhs))
+    wrong = lhs != rhs
+    if wrong.any():
+        g, h, k = np.unravel_index(np.argmax(wrong), wrong.shape)
         failures.append(("associativity", f"first offending triple ({g}, {h}, {k})"))
 
-    if latin_ok and identity is not None:
-        for g in range(n):
-            h = int(np.nonzero(arr[g] == identity)[0][0])
-            if arr[h, g] != identity:
-                failures.append(("inverses", f"element {g} has no two-sided inverse"))
-                break
+    inverses = None
+    if not len(bad_rows) and not len(bad_cols) and identity is not None:
+        inverses = np.argmax(arr == identity, axis=1).astype(np.int32)
+        one_sided = np.flatnonzero(arr[inverses, full] != identity)
+        if len(one_sided):
+            failures.append(("inverses", f"element {one_sided[0]} has no two-sided inverse"))
+            inverses = None
 
-    return ValidationReport(failures)
+    return ValidationReport(failures, identity, inverses)
 
 
-def _finish_group(table: np.ndarray, labels: tuple) -> CayleyGroup:
+def _finish_group(table: np.ndarray, labels: tuple, where: str = "") -> CayleyGroup:
+    """Validate the table once and wrap it; ``where`` prefixes a failure message."""
     report = validate_table(table)
     if not report.ok:
-        raise ValidationError(str(report))
+        raise ValidationError(f"{where}{report}")
     n = table.shape[0]
-    arr = table.astype(np.int32)
-    identity = next(
-        e for e in range(n)
-        if np.array_equal(arr[e], np.arange(n)) and np.array_equal(arr[:, e], np.arange(n))
-    )
-    inverses = np.empty(n, dtype=np.int32)
-    for g in range(n):
-        inverses[g] = int(np.nonzero(arr[g] == identity)[0][0])
     if len(set(labels)) != n:
         raise ValidationError("element labels are not pairwise distinct")
     index = {lab: i for i, lab in enumerate(labels)}
-    return CayleyGroup(n, arr, identity, inverses, tuple(labels), index)
+    return CayleyGroup(n, table.astype(np.int32), report.identity, report.inverses,
+                       tuple(labels), index)
 
 
 def _coords(spec: GroupSpec, label: ElementLabel) -> tuple:
@@ -391,53 +376,47 @@ def build_group(spec: GroupSpec) -> CayleyGroup:
 
     if isinstance(spec, Product):
         left, right = build_group(spec.left), build_group(spec.right)
-        nl, nr = left.order, right.order
-        _check_order(nl * nr)
-        tl = left.table.astype(np.int64)
-        tr = right.table.astype(np.int64)
-        # index (a, b) -> a*nr + b
-        block = tl[:, None, :, None] * nr + tr[None, :, None, :]
-        table = block.reshape(nl * nr, nl * nr)
+        _check_order(left.order * right.order)
+        # the direct product is the semidirect product with the trivial action
+        trivial = np.broadcast_to(np.arange(left.order), (right.order, left.order))
         labels = tuple(
             _coords(spec.left, la) + _coords(spec.right, lb)
             for la in left.labels
             for lb in right.labels
         )
-        return _finish_group(table, labels)
+        return _finish_group(_twisted_table(left.table, right.table, trivial), labels)
 
     if isinstance(spec, Semidirect):
         if not isinstance(spec.actor, Cyclic):
             raise InvalidAction("semidirect actor must be cyclic")
         normal, actor = build_group(spec.normal), build_group(spec.actor)
         phi = _action_automorphism(normal, spec.action)
-        ord_phi = _permutation_order(phi)
-        if actor.order % ord_phi != 0:
+        powers = [np.arange(normal.order)]  # phi^0, phi^1, ... below the order of phi
+        while not np.array_equal(phi[powers[-1]], powers[0]):
+            powers.append(phi[powers[-1]])
+        if actor.order % len(powers) != 0:
             raise OrderMismatch(
-                f"actor order {actor.order} not a multiple of action order {ord_phi}"
+                f"actor order {actor.order} not a multiple of action order {len(powers)}"
             )
-        nn, nh = normal.order, actor.order
-        _check_order(nn * nh)
-        powers = np.empty((nh, nn), dtype=np.int64)
-        powers[0] = np.arange(nn)
-        for k in range(1, nh):
-            powers[k] = phi[powers[k - 1]]
-        tn = normal.table.astype(np.int64)
-        table = np.empty((nn * nh, nn * nh), dtype=np.int64)
-        for h1 in range(nh):
-            twisted = powers[h1]  # phi^h1
-            prod_n = tn[:, twisted]  # (n1, n2) -> n1 * phi^h1(n2)
-            for h2 in range(nh):
-                h = actor.table[h1, h2]
-                table[h1::nh, h2::nh] = prod_n * nh + h
+        _check_order(normal.order * actor.order)
+        powers = np.array(powers)[np.arange(actor.order) % len(powers)]  # row h: phi^h
         labels = tuple(
             (ln, lh) for ln in normal.labels for lh in actor.labels
         )
-        return _finish_group(table, labels)
+        return _finish_group(_twisted_table(normal.table, actor.table, powers), labels)
 
     if isinstance(spec, External):
         return load_cayley_table(spec.path)
 
     raise ParseError(f"not a group spec: {spec!r}")
+
+
+def _twisted_table(tn: np.ndarray, th: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """Table of N x| H with (n1, h1) at n1*|H| + h1 and
+    (n1, h1)(n2, h2) = (n1 * powers[h1][n2], h1 h2)."""
+    nn, nh = len(tn), len(th)
+    prod = tn[:, powers]  # (n1, h1, n2) -> n1 * phi^h1(n2)
+    return (prod[..., None] * nh + th[None, :, None, :]).reshape(nn * nh, nn * nh)
 
 
 def _action_automorphism(normal: CayleyGroup, action: Iterable) -> np.ndarray:
@@ -450,43 +429,28 @@ def _action_automorphism(normal: CayleyGroup, action: Iterable) -> np.ndarray:
             raise InvalidAction(
                 f"action pair ({gen_label!r} -> {img_label!r}) does not resolve"
             ) from None
-    n = normal.order
-    phi = np.full(n, -1, dtype=np.int64)
+    gen, img = np.array(gens, dtype=np.int64).reshape(-1, 2).T
+    t = normal.table
+    phi = np.full(normal.order, -1, dtype=np.int64)
     phi[normal.identity] = normal.identity
-    frontier = [normal.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g, img in gens:
-                y = normal.mul(x, g)
-                fy = normal.mul(int(phi[x]), img)
-                if phi[y] == -1:
-                    phi[y] = fy
-                    nxt.append(y)
-                elif phi[y] != fy:
-                    raise InvalidAction("generator images are inconsistent")
-        frontier = nxt
+    while True:  # phi(x g) = phi(x) img, breadth first from the identity
+        reached = np.flatnonzero(phi >= 0)
+        y = t[reached][:, gen].ravel()
+        fy = t[phi[reached]][:, img].ravel()
+        fresh = phi[y] < 0
+        if not fresh.any():
+            break
+        phi[y[fresh]] = fy[fresh]
+    if (phi[y] != fy).any():
+        raise InvalidAction("generator images are inconsistent")
     if (phi == -1).any():
         raise InvalidAction("action generators do not generate the normal subgroup")
-    if len(set(phi.tolist())) != n:
+    if len(np.unique(phi)) != normal.order:
         raise InvalidAction("action images are not a bijection")
     # multiplicativity, exhaustive
-    t = normal.table.astype(np.int64)
     if not np.array_equal(phi[t], t[phi][:, phi]):
         raise InvalidAction("action images do not preserve multiplication")
     return phi
-
-
-def _permutation_order(perm: np.ndarray) -> int:
-    n = len(perm)
-    k, p = 1, perm.copy()
-    ident = np.arange(n)
-    while not np.array_equal(p, ident):
-        p = perm[p]
-        k += 1
-        if k > n * n:
-            raise InvalidAction("not a permutation")
-    return k
 
 
 def load_cayley_table(path: str | Path) -> CayleyGroup:
@@ -521,11 +485,7 @@ def load_cayley_table(path: str | Path) -> CayleyGroup:
         if not all(0 <= v < n for v in vals):
             raise ParseError(f"{path}: entries outside 0..{n - 1}")
         table.append(vals)
-    arr = np.asarray(table, dtype=np.int64)
-    report = validate_table(arr)
-    if not report.ok:
-        raise ValidationError(f"{path}: {report}")
-    return _finish_group(arr, tuple(range(n)))
+    return _finish_group(np.asarray(table, dtype=np.int64), tuple(range(n)), f"{path}: ")
 
 
 def save_cayley_table(group: CayleyGroup, path: str | Path, header: str = "") -> None:
@@ -540,37 +500,36 @@ def save_cayley_table(group: CayleyGroup, path: str | Path, header: str = "") ->
 
 def subgroup_closure(group: CayleyGroup, gens: Iterable[int]) -> frozenset:
     """Subgroup generated by ``gens`` (element indices)."""
-    gens = sorted(set(gens))
-    elems = {group.identity}
-    frontier = list(gens)
-    elems.update(frontier)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                for y in (group.mul(x, g), group.mul(g, x)):
-                    if y not in elems:
-                        elems.add(y)
-                        nxt.append(y)
-        frontier = nxt
-    return frozenset(elems)
+    gens = np.asarray(sorted(set(gens)), dtype=np.int64)
+    if len(gens) and not (0 <= gens[0] and gens[-1] < group.order):
+        raise IndexOutOfRange(f"generators {gens.tolist()} out of range for order {group.order}")
+    elems = np.zeros(group.order, dtype=bool)
+    elems[group.identity] = True
+    while True:  # a finite group: closing under right multiplication suffices
+        grown = elems.copy()
+        grown[group.table[elems][:, gens]] = True
+        if grown.sum() == elems.sum():
+            return frozenset(np.flatnonzero(elems).tolist())
+        elems = grown
 
 
 def subgroups_of_order(group: CayleyGroup, k: int) -> list:
     """All subgroups of order k, for small k (generated by at most 2 elements)."""
-    found = set()
-    elems = range(group.order)
-    singles = [g for g in elems if group.element_order(g) == k]
-    for g in singles:
-        found.add(subgroup_closure(group, [g]))
+    t, e, orders = group.table, group.identity, group.orders
+    g = np.flatnonzero(orders == k)
+    powers = [np.full(len(g), e)]  # powers[j][i] = g_i^j: row i of the stack is <g_i>
+    for _ in range(k - 1):
+        powers.append(t[powers[-1], g])
+    subs = [np.stack(powers, axis=1)]
     if k == 6:  # S3-type subgroups need two generators
-        for g in elems:
-            if group.element_order(g) != 3:
-                continue
-            for h in elems:
-                if group.element_order(h) != 2:
-                    continue
-                sub = subgroup_closure(group, [g, h])
-                if len(sub) == k:
-                    found.add(sub)
-    return sorted(found, key=sorted)
+        # g of order 3 and an involution h generate a group of order 6
+        # exactly when h normalizes <g>, that is h g h is g or g^2
+        g = np.flatnonzero(orders == 3)[:, None]
+        h = np.flatnonzero(orders == 2)[None, :]
+        hgh = t[t[h, g], h]
+        i, j = np.nonzero((hgh == g) | (hgh == t[g, g]))
+        g, h = g[i, 0], h[0, j]
+        g2 = t[g, g]
+        subs.append(np.stack([np.full(len(g), e), g, g2, h, t[g, h], t[g2, h]], axis=1))
+    found = np.unique(np.sort(np.concatenate(subs), axis=1), axis=0)
+    return [frozenset(sub) for sub in found.tolist()]

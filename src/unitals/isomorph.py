@@ -192,21 +192,30 @@ def _maps_blocks(sa: _Struct, sb: _Struct, mapping: np.ndarray) -> bool:
 class IsoResult:
     isomorphic: bool
     witness: list | None  # point bijection a -> b, as a list over A's points
+    complete: bool = True  # False when the time budget cut the decision short
 
     def __bool__(self):
         return self.isomorphic
 
 
-def are_isomorphic(a: Design, b: Design) -> IsoResult:
-    """Complete isomorphism decision; any witness is re-verified before return."""
+def are_isomorphic(a: Design, b: Design, time_budget_s: float = 600.0) -> IsoResult:
+    """Isomorphism decision; any witness is re-verified before return.
+
+    If the budget runs out during the backtracking search, the result is
+    undecided: not isomorphic as far as known, with complete=False.
+    """
     if a.n_points != b.n_points:
         return IsoResult(False, None)
     if fingerprint(a) != fingerprint(b):  # necessary invariant, fast path
         return IsoResult(False, None)
+    deadline = time.monotonic() + time_budget_s
     pa, pb = initial_partition(a), initial_partition(b)
     if not _compatible(pa, None, pb, None):
         return IsoResult(False, None)
-    mapping = _map_search(_struct(a), _struct(b), pa, pb, None)
+    try:
+        mapping = _map_search(_struct(a), _struct(b), pa, pb, deadline)
+    except TimeoutError:
+        return IsoResult(False, None, complete=False)
     if mapping is None:
         return IsoResult(False, None)
     if not _maps_blocks(_struct(a), _struct(b), mapping):

@@ -57,17 +57,26 @@ class PartialFamily:
 
 
 class _Budget:
+    #: nodes between two reads of the clock for the time limit
+    CLOCK_STRIDE = 4096
+
     def __init__(self, budget: SearchBudget, stats: SearchStats):
         self.budget = budget
         self.stats = stats
         self.deadline = time.monotonic() + budget.time_limit_s
+        self.next_clock = stats.nodes
 
     def tick(self, count: int = 1) -> bool:
         """Count nodes; True while the search may continue.  A run of count
-        nodes is cut at the one that uses up the node budget."""
+        nodes is cut at the one that uses up the node budget.  The clock is
+        read on the first call and then once per CLOCK_STRIDE nodes."""
         first = self.stats.nodes + 1
         self.stats.nodes += count
-        if self.stats.nodes >= self.budget.max_nodes or time.monotonic() > self.deadline:
+        late = False
+        if self.stats.nodes >= self.next_clock:
+            self.next_clock = self.stats.nodes + self.CLOCK_STRIDE
+            late = time.monotonic() > self.deadline
+        if self.stats.nodes >= self.budget.max_nodes or late:
             self.stats.nodes = max(first, min(self.stats.nodes, self.budget.max_nodes))
             self.stats.budget_hit = True
             return False

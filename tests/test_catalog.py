@@ -157,3 +157,21 @@ def test_group_unavailable(tmp_path, ex1_1):
     e = load_entry(p)
     with pytest.raises(GroupUnavailable):
         e.group()
+
+
+def test_reproduce_verifies_once(monkeypatch):
+    import unitals.catalog as catalog
+    import unitals.designs as designs
+    import unitals.fingerprint as fp
+
+    calls = []
+
+    def counting(design):
+        calls.append(design)
+        return designs.verify_steiner(design)
+
+    monkeypatch.setattr(catalog, "verify_steiner", counting)
+    monkeypatch.setattr(fp, "verify_steiner", counting)
+    rec = reproduce(entry("sg126-2-3"))
+    assert rec.ok
+    assert len(calls) == 1

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import entry
 from unitals.catalog import catalog_dir, entry_to_json
 from unitals.cli import main
-from unitals.isomorph import automorphism_order
+from unitals.isomorph import are_isomorphic, automorphism_order
 
 
 def path_of(entry_id: str) -> str:
@@ -232,6 +232,42 @@ def test_aut_cut_short_exits_4_with_bound(capsys, monkeypatch):
     code, out, _ = run(capsys, "aut", path_of("ex1-1"), "--json")
     assert code == 4
     assert json.loads(out)["complete"] is False
+
+
+def test_iso_cut_short_exits_4_undecided(capsys, monkeypatch):
+    import unitals.cli as cli
+
+    tiny = lambda a, b: are_isomorphic(a, b, time_budget_s=0.0)
+    monkeypatch.setattr(cli, "are_isomorphic", tiny)
+    code, out, err = run(capsys, "iso", path_of("ex1-1"), path_of("ex1-1"))
+    assert code == 4
+    assert out.strip() == "undecided"
+    assert "undecided" in err
+    code, out, _ = run(capsys, "iso", path_of("ex1-1"), path_of("ex1-1"), "--json")
+    assert code == 4
+    got = json.loads(out)
+    assert (got["complete"], got["isomorphic"], got["witness"]) == (False, False, None)
+    # a decided answer carries complete=True
+    code, out, _ = run(capsys, "iso", path_of("ex1-1"), path_of("ex1-2"), "--json")
+    assert code == 0 and json.loads(out)["complete"] is True
+
+
+def test_fingerprint_verifies_once(capsys, monkeypatch):
+    import unitals.cli as cli
+    import unitals.designs as designs
+    import unitals.fingerprint as fp
+
+    calls = []
+
+    def counting(design):
+        calls.append(design)
+        return designs.verify_steiner(design)
+
+    monkeypatch.setattr(cli, "verify_steiner", counting)
+    monkeypatch.setattr(fp, "verify_steiner", counting)
+    code, _, _ = run(capsys, "fingerprint", path_of("ex1-3"))
+    assert code == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("order, mode", [(125, "transitive"), (13, "transitive"),

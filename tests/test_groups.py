@@ -12,6 +12,8 @@ from unitals.errors import (
     ParseError,
     ValidationError,
 )
+from conftest import entry
+from unitals import groups
 from unitals.groups import (
     INF,
     Cyclic,
@@ -20,13 +22,13 @@ from unitals.groups import (
     Semidirect,
     build_group,
     format_element_label,
-    inverse,
     load_cayley_table,
-    multiply,
     parse_element_label,
     save_cayley_table,
     spec_from_json,
     spec_to_json,
+    subgroup_closure,
+    subgroups_of_order,
     validate_table,
 )
 
@@ -66,10 +68,10 @@ def test_semidirect_z5sq_z5_product_rule():
 
 
 def test_multiply_and_inverse(z125):
-    assert multiply(z125, 100, 50) == 25
-    assert inverse(z125, z125.identity) == z125.identity
+    assert z125.mul(100, 50) == 25
+    assert z125.inv(z125.identity) == z125.identity
     with pytest.raises(IndexOutOfRange):
-        multiply(z125, 0, 125)
+        z125.mul(0, 125)
 
 
 def test_semidirect_inverse_by_row_scan():
@@ -78,7 +80,7 @@ def test_semidirect_inverse_by_row_scan():
     # independent oracle: scan the row for the identity
     row = [g.mul(x, h) for h in range(g.order)]
     inv_scan = row.index(g.identity)
-    assert inverse(g, x) == inv_scan
+    assert g.inv(x) == inv_scan
     assert g.labels[inv_scan] == (4, 4)
     assert g.mul(x, inv_scan) == g.identity
 
@@ -142,6 +144,16 @@ def test_invalid_action_rejected():
         build_group(Semidirect(Cyclic(25), Cyclic(5), ((1, 5),)))  # 1->5 not bijective
     with pytest.raises(OrderMismatch):
         build_group(Semidirect(Cyclic(7), Cyclic(2), ((1, 2),)))  # order-3 action
+
+
+@pytest.mark.parametrize("action, message", [
+    ((((0, 1), (0, 1)), ((0, 1), (1, 1))), "generator images are inconsistent"),
+    ((((0, 1), (0, 1)),), "do not generate the normal subgroup"),
+    ((((0, 1), (0, 1)), ((1, 0), (1, 0)), ((9, 9), (0, 1))), r"\(\(9, 9\) -> \(0, 1\)\) does not resolve"),
+])
+def test_action_defects_named(action, message):
+    with pytest.raises(InvalidAction, match=message):
+        build_group(Semidirect(Product(Cyclic(5), Cyclic(5)), Cyclic(5), action))
 
 
 def test_semidirect_order_and_commutativity():
@@ -241,3 +253,117 @@ def test_load_cayley_table_rejects_huge_order(tmp_path):
     p.write_text("1000000\n0\n")
     with pytest.raises(ParseError, match="exceeds"):
         load_cayley_table(p)
+
+
+def _z5_with_bad_row():
+    t = build_group(Cyclic(5)).table.copy()
+    t[2, 3] = t[2, 4]  # row 2 repeats 1; column 3 then repeats it too
+    return t
+
+
+# one defect each; every failure list was recorded from the element-by-element
+# validator this one replaced
+SINGLE_DEFECTS = {
+    "shape": ([[0, 1]], [("shape", "not a nonempty square array: (1, 2)")]),
+    "empty": (np.zeros((0, 0), dtype=int), [("shape", "not a nonempty square array: (0, 0)")]),
+    "range": ([[0, 2], [1, 0]], [("range", "entries outside 0..n-1")]),
+    "negative": ([[0, -1], [1, 0]], [("range", "entries outside 0..n-1")]),
+    "bad row": ([[0, 0], [1, 1]], [("latin-square", "row 0 is not a permutation"),
+                                   ("identity", "no two-sided identity element")]),
+    "bad row and column": (_z5_with_bad_row(), [
+        ("latin-square", "row 2 is not a permutation"),
+        ("latin-square", "column 3 is not a permutation"),
+        ("associativity", "first offending triple (1, 1, 3)")]),
+    "bad column": ([[0, 1, 2], [0, 1, 2], [0, 1, 2]], [
+        ("latin-square", "column 0 is not a permutation"),
+        ("identity", "no two-sided identity element")]),
+    "no identity": ([[0, 2, 1], [2, 1, 0], [1, 0, 2]], [
+        ("identity", "no two-sided identity element"),
+        ("associativity", "first offending triple (0, 0, 1)")]),
+    # 2*3 = 0 but 3*2 = 1
+    "one-sided inverse": ([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1],
+                           [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]], [
+        ("associativity", "first offending triple (1, 1, 2)"),
+        ("inverses", "element 2 has no two-sided inverse")]),
+    "non-associative": (NON_ASSOC_5, [("associativity", "first offending triple (1, 1, 2)")]),
+}
+
+
+@pytest.mark.parametrize("name", list(SINGLE_DEFECTS))
+def test_validate_single_defect_messages(name):
+    table, failures = SINGLE_DEFECTS[name]
+    assert validate_table(table).failures == failures
+
+
+def test_validate_reports_identity_and_inverses():
+    g = build_group(Z25_X_Z5)
+    report = validate_table(g.table)
+    assert report.ok and report.identity == g.identity
+    assert np.array_equal(report.inverses, g.inverses)
+    assert (g.table[np.arange(g.order), report.inverses] == g.identity).all()
+    assert validate_table([[0]]).identity == 0
+
+
+def test_load_cayley_table_validates_once(tmp_path, monkeypatch):
+    p = tmp_path / "z6.txt"
+    save_cayley_table(build_group(Cyclic(6)), p)
+    calls = []
+
+    def counting(table):
+        calls.append(1)
+        return validate_table(table)
+
+    monkeypatch.setattr(groups, "validate_table", counting)
+    load_cayley_table(p)
+    assert len(calls) == 1
+    p.write_text("2\n0 0\n1 0\n")
+    with pytest.raises(ValidationError, match=r"z6\.txt: latin-square: row 0"):
+        load_cayley_table(p)
+    assert len(calls) == 2
+
+
+CATALOG_LISTS = ["ex1", "ex2", "ex3", "ex4", "ex5", "sg126-1", "sg126-2", "sg126-3",
+                 "sg126-7", "sg126-8", "sg126-10", "sg126-12"]
+
+
+@pytest.mark.parametrize("key", CATALOG_LISTS)
+def test_orders_match_power_loop(key):
+    g = entry(f"{key}-1").group()
+    for x in range(g.order):
+        k, power = 1, x
+        while power != g.identity:
+            power, k = g.mul(power, x), k + 1
+        assert g.orders[x] == k
+
+
+# len(subgroups_of_order(g, s)) for s = 2, 3, 5, 6, recorded from the
+# closure-per-generator implementation this one replaced
+SUBGROUP_COUNTS = {
+    "ex1": (0, 0, 1, 0), "ex2": (0, 0, 6, 0), "ex3": (0, 0, 31, 0),
+    "ex4": (0, 0, 6, 0), "ex5": (0, 0, 31, 0),
+    "sg126-1": (7, 1, 0, 7), "sg126-2": (1, 1, 0, 1), "sg126-3": (9, 1, 0, 3),
+    "sg126-7": (7, 22, 0, 28), "sg126-8": (3, 22, 0, 22), "sg126-10": (1, 22, 0, 22),
+    "sg126-12": (3, 4, 0, 4),
+}
+
+
+@pytest.mark.parametrize("key", CATALOG_LISTS)
+def test_subgroups_of_order_counts(key):
+    g = entry(f"{key}-1").group()
+    counts = []
+    for s in (2, 3, 5, 6):
+        subs = subgroups_of_order(g, s)
+        assert subs == sorted(subs, key=sorted)
+        for sub in subs:
+            assert len(sub) == s and subgroup_closure(g, sub) == sub
+        counts.append(len(subs))
+    assert tuple(counts) == SUBGROUP_COUNTS[key]
+
+
+def test_subgroup_closure():
+    g = build_group(Z25_X_Z5)
+    assert subgroup_closure(g, []) == {g.identity}
+    assert len(subgroup_closure(g, [g.resolve((1, 0))])) == 25
+    assert len(subgroup_closure(g, [g.resolve((1, 0)), g.resolve((0, 1))])) == 125
+    with pytest.raises(IndexOutOfRange):
+        subgroup_closure(g, [125])

@@ -28,6 +28,16 @@ def test_relabel_is_isomorphic_with_witness(design_ex1_1):
     assert mapped == set(other.blocks)
 
 
+def test_iso_budget_cut_short_is_undecided(design_ex1_1):
+    other = relabel(design_ex1_1, np.random.default_rng(5).permutation(126))
+    res = are_isomorphic(design_ex1_1, other, time_budget_s=0.0)
+    assert (res.isomorphic, res.witness, res.complete) == (False, None, False)
+    assert are_isomorphic(design_ex1_1, other).complete
+    # the fingerprint decides without the search, whatever the budget
+    res = are_isomorphic(design_ex1_1, design_of("ex1-2"), time_budget_s=0.0)
+    assert (res.isomorphic, res.complete) == (False, True)
+
+
 def test_initial_partition_isolates_infinity(design_ex1_1):
     p = initial_partition(design_ex1_1)
     sizes = sorted(np.bincount(p.cell_ids, minlength=p.n_cells).tolist())

@@ -70,6 +70,18 @@ def test_trivial_budget_empty_stream(z125):
     assert stats.budget_hit
 
 
+@pytest.mark.parametrize("seconds", [1e-9, 0.05])
+def test_time_limit_stops_search(z125, seconds):
+    # from scratch over Z_125 the search runs far past 10^7 nodes
+    stats = SearchStats()
+    budget = SearchBudget(max_nodes=10**7, time_limit_s=seconds)
+    got = list(search_families(z125, Mode.ONE_ROTATIONAL, budget,
+                               canonicalize=False, stats=stats))
+    assert got == []
+    assert stats.budget_hit
+    assert 0 < stats.nodes < budget.max_nodes
+
+
 def test_search_deterministic(z125):
     runs = []
     for _ in range(2):
