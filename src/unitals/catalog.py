@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .designs import Design, DifferenceFamily, Mode, develop, verify_steiner
+from .designs import DifferenceFamily, Mode, develop, verify_steiner
 from .errors import GroupUnavailable, OrderingNotFound, SchemaError, SumInvariantError
 from .fingerprint import TOTAL_QUADRUPLES, Fingerprint, fingerprint
 from .groups import (
@@ -277,10 +277,6 @@ def reproduce(entry: CatalogEntry, check_fingerprint: bool = True) -> Reproducti
         match = computed == entry.expected()
     return ReproductionRecord(entry.id, steiner_ok, match, computed,
                               time.perf_counter() - t0)
-
-
-def develop_entry(entry: CatalogEntry) -> Design:
-    return develop(entry.group(), entry.family())
 
 
 @dataclass

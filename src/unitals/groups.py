@@ -316,7 +316,7 @@ def validate_table(table: Sequence[Sequence[int]]) -> ValidationReport:
 
     # (g*h)*k vs g*(h*k), exhaustive over all n^3 triples
     lhs = arr[arr, :]
-    rhs = arr[:, arr.reshape(-1)].reshape(n, n, n)
+    rhs = np.take(arr, arr, axis=1)  # [g, h, k] = g*(h*k), laid out as lhs
     wrong = lhs != rhs
     if wrong.any():
         g, h, k = np.unravel_index(np.argmax(wrong), wrong.shape)

@@ -27,12 +27,6 @@ class OrderedPartition:
     cell_ids: np.ndarray  # (n,) int64, cell index per point
     n_cells: int
 
-    def cells(self) -> list:
-        out = [[] for _ in range(self.n_cells)]
-        for p, c in enumerate(self.cell_ids):
-            out[int(c)].append(p)
-        return out
-
     def is_discrete(self) -> bool:
         return self.n_cells == len(self.cell_ids)
 
@@ -60,17 +54,18 @@ def _struct(design: Design) -> _Struct:
 
 
 def _rank_rows(rows: np.ndarray) -> tuple:
-    """(codes, n_codes): canonical rank of each row under lexicographic order."""
-    order = np.lexsort(rows.T[::-1])
-    sorted_rows = rows[order]
-    boundaries = np.empty(len(rows), dtype=np.int64)
-    boundaries[0] = 0
-    if len(rows) > 1:
-        boundaries[1:] = np.any(sorted_rows[1:] != sorted_rows[:-1], axis=1)
-    ranks = np.cumsum(boundaries)
-    codes = np.empty(len(rows), dtype=np.int64)
-    codes[order] = ranks
-    return codes, int(ranks[-1]) + 1
+    """(codes, n_codes): canonical rank of each row under lexicographic order.
+
+    The rows are shifted to be non-negative and stored big-endian in the
+    smallest unsigned dtype that holds them, so comparing two rows' bytes
+    compares the rows lexicographically; np.unique ranks one void per row.
+    """
+    shifted = np.subtract(rows, rows.min(), dtype=np.int64)
+    dtype = np.min_scalar_type(int(shifted.max())).newbyteorder(">")
+    packed = np.ascontiguousarray(shifted.astype(dtype))
+    keys = packed.view(np.dtype((np.void, packed.itemsize * packed.shape[1])))
+    uniq, codes = np.unique(keys.ravel(), return_inverse=True)
+    return codes.astype(np.int64, copy=False), len(uniq)
 
 
 def _refine(struct: _Struct, cell_ids: np.ndarray) -> tuple:
@@ -116,11 +111,11 @@ def _refine(struct: _Struct, cell_ids: np.ndarray) -> tuple:
 
 
 def _individualize(partition: OrderedPartition, v: int) -> np.ndarray:
+    """Cell ids with v alone in a cell just before the rest of its cell
+    (not yet ranked: _refine ranks them first)."""
     key = partition.cell_ids * 2
-    key = key.copy()
     key[v] -= 1
-    ids, _ = _rank_rows(key.reshape(-1, 1))
-    return ids
+    return key
 
 
 def _target_cell(partition: OrderedPartition) -> int | None:
@@ -159,11 +154,21 @@ def _compatible(pa: OrderedPartition, tra, pb: OrderedPartition, trb) -> bool:
         np.bincount(pb.cell_ids, minlength=pb.n_cells)))
 
 
-def _map_search(sa: _Struct, sb: _Struct, pa: OrderedPartition,
-                pb: OrderedPartition, deadline: float | None) -> np.ndarray | None:
-    """Backtracking search for a block-set isomorphism respecting partitions."""
-    if deadline is not None and time.monotonic() > deadline:
+def _check_deadline(deadline: float) -> None:
+    if time.monotonic() > deadline:
         raise TimeoutError
+
+
+def _map_search(sa: _Struct, sb: _Struct, pa: OrderedPartition,
+                pb: OrderedPartition, deadline: float,
+                auts_b: list, path_b: tuple) -> np.ndarray | None:
+    """Backtracking search for a block-set isomorphism respecting partitions.
+
+    path_b holds the points individualized on B's side so far.  When no
+    isomorphism sends a to b, none sends it to any image of b under an
+    automorphism of B fixing path_b, so that orbit of auts_b is skipped.
+    """
+    _check_deadline(deadline)
     if pa.is_discrete():
         mapping = _discrete_mapping(pa, pb)
         if _maps_blocks(sa, sb, mapping):
@@ -172,13 +177,16 @@ def _map_search(sa: _Struct, sb: _Struct, pa: OrderedPartition,
     t = _target_cell(pa)
     a = int(np.nonzero(pa.cell_ids == t)[0][0])
     ra, tra = _refine(sa, _individualize(pa, a))
-    for b in np.nonzero(pb.cell_ids == t)[0]:
-        rb, trb = _refine(sb, _individualize(pb, int(b)))
-        if not _compatible(ra, tra, rb, trb):
+    failed = np.zeros(len(pb.cell_ids), dtype=bool)
+    for b in np.nonzero(pb.cell_ids == t)[0].tolist():
+        if failed[b]:
             continue
-        found = _map_search(sa, sb, ra, rb, deadline)
-        if found is not None:
-            return found
+        rb, trb = _refine(sb, _individualize(pb, b))
+        if _compatible(ra, tra, rb, trb):
+            found = _map_search(sa, sb, ra, rb, deadline, auts_b, path_b + (b,))
+            if found is not None:
+                return found
+        failed |= _orbit_under_stabilizer(b, path_b, auts_b, len(failed))
     return None
 
 
@@ -201,8 +209,10 @@ class IsoResult:
 def are_isomorphic(a: Design, b: Design, time_budget_s: float = 600.0) -> IsoResult:
     """Isomorphism decision; any witness is re-verified before return.
 
-    If the budget runs out during the backtracking search, the result is
-    undecided: not isomorphic as far as known, with complete=False.
+    The search prunes by the automorphisms of b known without a search: its
+    automorphism group when one is cached, else its verified developing
+    translations.  If the budget runs out during the backtracking search, the
+    result is undecided: not isomorphic as far as known, with complete=False.
     """
     if a.n_points != b.n_points:
         return IsoResult(False, None)
@@ -212,13 +222,16 @@ def are_isomorphic(a: Design, b: Design, time_budget_s: float = 600.0) -> IsoRes
     pa, pb = initial_partition(a), initial_partition(b)
     if not _compatible(pa, None, pb, None):
         return IsoResult(False, None)
+    sa, sb = _struct(a), _struct(b)
+    cached = b._cache.get("aut_group")  # its generators start with the seeds
+    auts_b = cached[1] if cached is not None else _translation_seeds(sb)
     try:
-        mapping = _map_search(_struct(a), _struct(b), pa, pb, deadline)
+        mapping = _map_search(sa, sb, pa, pb, deadline, auts_b, ())
     except TimeoutError:
         return IsoResult(False, None, complete=False)
     if mapping is None:
         return IsoResult(False, None)
-    if not _maps_blocks(_struct(a), _struct(b), mapping):
+    if not _maps_blocks(sa, sb, mapping):
         raise AssertionError("search returned an invalid witness")
     return IsoResult(True, [int(x) for x in mapping])
 
@@ -237,50 +250,82 @@ def automorphism_generators(design: Design,
 
     |Aut| is the product of the base-point orbit sizes along the chain
     (orbit-stabilizer); the generators found along the way generate the full
-    group.  If the budget runs out, the product collected so far is returned
-    as a lower bound with complete=False.
+    group.  The levels are filled from the deepest up, so at level i every
+    generator found so far that fixes base[:i] pointwise lies in the
+    stabilizer whose orbit of base[i] is counted: the orbit starts from
+    them, and a candidate that fails takes its whole orbit under them along.
+    Level 0 starts from the verified developing translations.  If the budget
+    runs out, the product collected so far is returned as a lower bound with
+    complete=False.
     """
     cached = design._cache.get("aut_group")
     if cached is not None:
         return cached
-    struct = _struct(design)
     deadline = time.monotonic() + time_budget_s
-    chain = []
-    partition = initial_partition(design)
-    while not partition.is_discrete():
+    struct = _struct(design)
+    n = design.n_points
+    chain = [(initial_partition(design), None)]  # (partition, trace) per level
+    base: list = []
+    while not chain[-1][0].is_discrete():
+        partition = chain[-1][0]
         t = _target_cell(partition)
-        base_point = int(np.nonzero(partition.cell_ids == t)[0][0])
-        chain.append((partition, t, base_point))
-        partition, _ = _refine(struct, _individualize(partition, base_point))
+        base.append(int(np.nonzero(partition.cell_ids == t)[0][0]))
+        chain.append(_refine(struct, _individualize(partition, base[-1])))
 
+    gens = _translation_seeds(struct)
     order = 1
-    all_gens = []
     try:
-        for partition, t, base_point in chain:
-            rb, trb = _refine(struct, _individualize(partition, base_point))
-            orbit = {base_point}
-            generators = []
-            for c in np.nonzero(partition.cell_ids == t)[0]:
-                c = int(c)
-                if c in orbit:
+        for i in reversed(range(len(base))):
+            _check_deadline(deadline)
+            partition, (rb, trb) = chain[i][0], chain[i + 1]
+            fixed = tuple(base[:i])
+            orbit = _orbit_under_stabilizer(base[i], fixed, gens, n)
+            failed = np.zeros(n, dtype=bool)
+            cell = partition.cell_ids == partition.cell_ids[base[i]]
+            for c in np.nonzero(cell)[0].tolist():
+                if orbit[c] or failed[c]:
                     continue
                 rc, trc = _refine(struct, _individualize(partition, c))
-                if not _compatible(rb, trb, rc, trc):
-                    continue
-                mapping = _map_search(struct, struct, rb, rc, deadline)
+                mapping = None
+                if _compatible(rb, trb, rc, trc):
+                    mapping = _map_search(struct, struct, rb, rc, deadline,
+                                          gens, fixed + (c,))
                 if mapping is None:
+                    failed |= _orbit_under_stabilizer(c, fixed, gens, n)
                     continue
                 if not _maps_blocks(struct, struct, mapping):
                     raise AssertionError("invalid automorphism witness")
-                generators.append(mapping)
-                all_gens.append(mapping)
-                orbit = _orbit(base_point, generators)
-            order *= len(orbit)
+                gens.append(mapping)
+                orbit = _orbit_under_stabilizer(base[i], fixed, gens, n)
+            order *= int(orbit.sum())
     except TimeoutError:
-        return AutomorphismCount(order, False), all_gens
-    result = (AutomorphismCount(order, True), all_gens)
+        return AutomorphismCount(order, False), gens
+    result = (AutomorphismCount(order, True), gens)
     design._cache["aut_group"] = result
     return result
+
+
+def _translation_seeds(struct: _Struct) -> list:
+    """Rows of the design's developing action that generate its orbit.
+
+    Rows are taken greedily while they enlarge the orbit of point 0, and
+    each is used only if it maps the blocks onto themselves.
+    """
+    action = struct.design.action
+    if action is None:
+        return []
+    reach = len(np.unique(action[:, 0]))
+    n = struct.design.n_points
+    seeds: list = []
+    orbit = _orbit_under_stabilizer(0, (), seeds, n)
+    for row in action.astype(np.int64):
+        if orbit.sum() == reach:
+            break
+        if orbit[row[0]] or not _maps_blocks(struct, struct, row):
+            continue
+        seeds.append(row)
+        orbit = _orbit_under_stabilizer(0, (), seeds, n)
+    return seeds
 
 
 def automorphism_order(design: Design, time_budget_s: float = 600.0) -> AutomorphismCount:
@@ -289,34 +334,28 @@ def automorphism_order(design: Design, time_budget_s: float = 600.0) -> Automorp
     return count
 
 
-def _orbit(seed: int, generators: list) -> set:
-    orbit = {seed}
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in generators:
-                q = int(g[p])
-                if q not in orbit:
-                    orbit.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return orbit
+def canonical_key(design: Design, time_budget_s: float = 600.0) -> bytes:
+    """Byte string equal for two designs exactly when they are isomorphic.
 
-
-def canonical_key(design: Design) -> bytes:
-    """Byte string equal for two designs exactly when they are isomorphic."""
+    One deadline covers the automorphism group the search prunes by and the
+    search itself; when it runs out, TimeoutError is raised and nothing is
+    cached.
+    """
     cached = design._cache.get("canonical_key")
     if cached is not None:
         return cached
+    deadline = time.monotonic() + time_budget_s
     struct = _struct(design)
     partition = initial_partition(design)
     fp = fingerprint(design)
 
+    n = design.n_points
     best: dict = {"inv": None, "blocks": None, "labeling": None}
     # seeding with the full automorphism group makes sibling orbit pruning
     # effective from the start (crucial for highly symmetric designs)
-    _, aut_gens = automorphism_generators(design)
+    count, aut_gens = automorphism_generators(design, deadline - time.monotonic())
+    if not count.complete:
+        raise TimeoutError
     aut_gens = list(aut_gens)
 
     def leaf_blocks(p: OrderedPartition) -> bytes:
@@ -326,6 +365,7 @@ def canonical_key(design: Design) -> bytes:
         return mapped[order].astype(np.int16).tobytes()
 
     def dfs(partition: OrderedPartition, inv_path: tuple, base: tuple):
+        _check_deadline(deadline)
         if partition.is_discrete():
             key_blocks = leaf_blocks(partition)
             cand = (inv_path, key_blocks)
@@ -342,14 +382,17 @@ def canonical_key(design: Design) -> bytes:
                     aut_gens.append(aut)
             return
         t = _target_cell(partition)
-        cell_points = [int(c) for c in np.nonzero(partition.cell_ids == t)[0]]
         done: list = []
-        for v in cell_points:
+        known = -1  # how many automorphisms the orbits in seen were built from
+        for v in np.nonzero(partition.cell_ids == t)[0].tolist():
             # orbits under the automorphisms found so far (fixing the base)
-            orb = _orbit_under_stabilizer(v, base, aut_gens)
-            if any(u in orb for u in done):
+            if len(aut_gens) != known:
+                known = len(aut_gens)
+                seen = _orbit_under_stabilizer(done, base, aut_gens, n)
+            if seen[v]:
                 continue
             done.append(v)
+            seen |= _orbit_under_stabilizer(v, base, aut_gens, n)
             refined, trace = _refine(struct, _individualize(partition, v))
             child_inv = inv_path + (trace,)
             if best["inv"] is not None:
@@ -365,12 +408,30 @@ def canonical_key(design: Design) -> bytes:
     return digest
 
 
-def _orbit_under_stabilizer(v: int, base: tuple, aut_gens: list) -> set:
-    """Orbit of v under the discovered automorphisms fixing the base pointwise."""
-    fixing = [g for g in aut_gens if all(int(g[p]) == p for p in base)]
-    if not fixing:
-        return {v}
-    return _orbit(v, fixing)
+def _orbit_under_stabilizer(points, base: tuple, aut_gens: list, n: int) -> np.ndarray:
+    """Mask over the n points of the union of the orbits of points (one point
+    or a list) under the automorphisms in aut_gens that fix the base
+    pointwise.
+
+    Each step adds the images under the generators and under their powers
+    2^t, t = 0, 1, 2, ..., so a long cycle fills in a logarithmic number of
+    steps; the mask is the orbit once the generators add nothing.
+    """
+    gens = np.asarray(aut_gens, dtype=np.int64).reshape(-1, n)
+    if base:
+        fixed = np.asarray(base)
+        gens = gens[(gens[:, fixed] == fixed).all(axis=1)]
+    orbit = np.zeros(n, dtype=bool)
+    orbit[points] = True
+    power = gens
+    while len(gens):
+        size = orbit.sum()
+        orbit[gens[:, orbit]] = True
+        orbit[power[:, orbit]] = True
+        if orbit.sum() == size:
+            break
+        power = np.take_along_axis(power, power, axis=1)
+    return orbit
 
 
 def left_translations_are_automorphisms(design: Design, group, one_rotational: bool) -> bool:

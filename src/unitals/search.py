@@ -152,6 +152,8 @@ class _Searcher:
                 chosen.append(tuple(sorted(h)) + (-1,))  # -1 marks ∞
                 yield from self._extend(fixed, chosen, uncovered & ~cov, False)
                 chosen.pop()
+                if self.stats.budget_hit:
+                    return
             return
         if not uncovered.any():
             self.stats.solutions += 1
@@ -374,7 +376,9 @@ def search_families(group: CayleyGroup, mode: Mode | str,
     lexicographically minimal under translations and the automorphism group
     generated by aut_generators (default: the multiplier group for cyclic
     groups), and families developing to designs with an already-seen
-    canonical key are suppressed.
+    canonical key are suppressed.  Canonical keys count against
+    time_limit_s: when it runs out during one, the search stops with
+    budget_hit set.
     """
     mode = Mode(mode)
     budget = budget or SearchBudget()
@@ -395,7 +399,12 @@ def search_families(group: CayleyGroup, mode: Mode | str,
             from .designs import develop
             from .isomorph import canonical_key
 
-            key = canonical_key(develop(group, fam))
+            try:
+                key = canonical_key(develop(group, fam),
+                                    searcher.budget.deadline - time.monotonic())
+            except TimeoutError:
+                stats.budget_hit = True
+                return
             if key in seen_keys:
                 continue
             seen_keys.add(key)

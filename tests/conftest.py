@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from unitals import search
 from unitals.catalog import catalog_dir, load_entry
-from unitals.designs import develop
+from unitals.designs import develop, resolve_family
 
 
 def entry(entry_id: str):
@@ -23,6 +24,18 @@ def design_of(entry_id: str):
         got = develop(e.group(), e.family())
         _design_cache[entry_id] = got
     return got
+
+
+def emit_ex1_1(monkeypatch):
+    """Make every search emit ex1-1's family at once, without a node."""
+    e = entry("ex1-1")
+    blocks = resolve_family(e.group(), e.family())
+
+    def run(self, fixed, uncovered, need_inf):
+        yield [list(b) for b in blocks]
+
+    monkeypatch.setattr(search._Searcher, "run", run)
+    return e.group()
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import entry
+from conftest import emit_ex1_1, entry
 from unitals.catalog import catalog_dir, entry_to_json
 from unitals.cli import main
 from unitals.isomorph import are_isomorphic, automorphism_order
@@ -404,3 +404,16 @@ def test_group_validate_fuzzed_table_exits_1(capsys, tmp_path, content):
     code, _, err = run(capsys, "group", "validate", str(p))
     assert code == 1, content
     assert "Traceback" not in err
+
+
+def test_search_exits_4_when_canonical_key_runs_out_of_time(capsys, monkeypatch, tmp_path):
+    emit_ex1_1(monkeypatch)
+    p = tmp_path / "group.json"
+    p.write_text(json.dumps({"cyclic": 125}))
+    code, out, err = run(capsys, "search", "--group", str(p), "--mode", "one-rotational",
+                         "--time-limit", "1e-9")
+    assert code == 4
+    assert "budget_hit=True" in err
+    code, out, err = run(capsys, "search", "--group", str(p), "--mode", "one-rotational")
+    assert code == 0
+    assert "budget_hit=False" in err

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from conftest import design_of
-from unitals.designs import relabel
+from conftest import design_of, entry
+from unitals import isomorph
+from unitals.designs import develop, is_block_invariant, relabel
 from unitals.fingerprint import fingerprint
 from unitals.isomorph import (
     are_isomorphic,
+    automorphism_generators,
     automorphism_order,
     canonical_key,
     initial_partition,
@@ -129,3 +131,131 @@ def test_canonical_key_deterministic(ex1_1):
 def test_canonical_key_separates_designs():
     keys = {canonical_key(design_of(i)) for i in ("ex1-1", "ex1-2", "ex1-3")}
     assert len(keys) == 3
+
+
+def fresh_design(entry_id):
+    """A newly developed design, with nothing cached on it."""
+    e = entry(entry_id)
+    return develop(e.group(), e.family())
+
+
+def lexsort_rank_rows(rows):
+    """Lexicographic row ranks by lexsort and boundary marks (slow oracle)."""
+    order = np.lexsort(rows.T[::-1])
+    sorted_rows = rows[order]
+    boundaries = np.zeros(len(rows), dtype=np.int64)
+    boundaries[1:] = np.any(sorted_rows[1:] != sorted_rows[:-1], axis=1)
+    ranks = np.cumsum(boundaries)
+    codes = np.empty(len(rows), dtype=np.int64)
+    codes[order] = ranks
+    return codes, int(ranks[-1]) + 1
+
+
+@pytest.mark.parametrize("shape, lo, hi, dtype", [
+    ((60, 4), -3, 3, np.int64),          # negative values, many duplicates
+    ((80, 1), -1000, 1000, np.int64),    # one column
+    ((1, 9), 0, 5, np.int64),            # one row
+    ((200, 3), 0, 300, np.int64),        # span above 255
+    ((150, 5), -70000, 70000, np.int64),  # span above 65535
+    ((40, 2), -2**40, 2**40, np.int64),  # span above 2^32
+    ((90, 6), -100, 100, np.int8),       # span above the dtype's own range
+    ((70, 3), -40000, 40000, np.int32),
+])
+def test_rank_rows_matches_lexsort(shape, lo, hi, dtype):
+    rng = np.random.default_rng(shape)
+    rows = rng.integers(lo, hi, size=shape).astype(dtype)
+    for rows in (rows, np.concatenate([rows, rows[::3]])):  # also with repeated rows
+        got = isomorph._rank_rows(rows)
+        want = lexsort_rank_rows(rows.astype(np.int64))
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+
+def test_rank_rows_matches_lexsort_on_classical_refinement(monkeypatch):
+    """Every fifth row ranking of ex3-1's automorphism search, compared with
+    the oracle as it happens."""
+    rank = isomorph._rank_rows
+    calls = []
+
+    def checked(rows):
+        got = rank(rows)
+        if len(calls) % 5 == 0:
+            want = lexsort_rank_rows(rows)
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        calls.append(rows.shape)
+        return got
+
+    monkeypatch.setattr(isomorph, "_rank_rows", checked)
+    assert automorphism_order(fresh_design("ex3-1")) == (756000, True)
+    assert len(calls) > 1000
+    assert {cols for _, cols in calls} >= {1, 6}
+
+
+# |Aut| and canonical key of one entry per list, recorded before the
+# automorphism search pruned by orbits
+PINNED = {
+    "ex1-1": (125, "fe7a1fd8bda6995d0e5fc59ebd22073b78dcc5fa23c5c003bf2811ccc187f088"),
+    "ex2-1": (125, "b7bdc4041773fd78fb5ebd2e4a05e9f5d9148a6252644c2b370598ab95387f3f"),
+    "ex3-2": (3000, "fb38bd4c57f192c53ed8b8aa2f7a038d03bda61d7930951e868a2e54770af919"),
+    "ex4-1": (125, "edb6ba940318f0da667cd9a1c77f5a1ab45e447186898d6096a470a1ad5ca417"),
+    "ex5-1": (2000, "3bd1bf311501a161ce9f371c4ae0f73253b7604408fcf5db91c9b444eaa2f283"),
+    "sg126-1-1": (126, "5474ad79376029f4508904f5dacc4be7bf7504ec1334bb8197714a3871f6d7bd"),
+    "sg126-2-1": (126, "10233e960ec36b548d6e2ad34a1b8f065b04fe84a471bbef3be2d9c4c363caf0"),
+    "sg126-3-1": (126, "4209ce6e8218e4cab3946ddc76a60b7f2d8765e158a86433b17f58a8aa9d46b1"),
+    "sg126-7-1": (126, "3402b0ea8a64eca3fc89e4d2ee286d159d16dc07f753eb793d07c9d2ca4c77b2"),
+    "sg126-8-1": (126, "e44c771423152d1f3c9c00c632fc13003361a3b0cb325340da79780aa3a13798"),
+    "sg126-10-1": (126, "d2f8027834584906dcd525ad5f72744901c1bb0fc34baf760ab8386a790177b2"),
+    "sg126-12-1": (126, "fd45f11cc099045720a0373da1607631de774ba8e427bdd50718666850424ced"),
+}
+CLASSICAL_KEY = b"fc481aff51f1834e17b92865d577ca191ceed2df38e941efafc3b7f60cc4affe"
+
+
+@pytest.mark.parametrize("entry_id", sorted(PINNED))
+def test_aut_order_and_key_pinned(entry_id):
+    d = fresh_design(entry_id)
+    count, gens = automorphism_generators(d)
+    order, key = PINNED[entry_id]
+    assert count == (order, True)
+    assert canonical_key(d) == key.encode()
+    assert gens and all(is_block_invariant(d, g) for g in gens)
+
+
+def test_classical_unital_relabeled_has_full_group():
+    """A relabeled copy has no developing action to seed the search with."""
+    d = relabel(design_of("ex3-1"), np.random.default_rng(7).permutation(126))
+    assert d.action is None
+    count, gens = automorphism_generators(d)
+    assert count == (756000, True)
+    assert all(is_block_invariant(d, g) for g in gens)
+    assert canonical_key(d) == CLASSICAL_KEY
+
+
+def test_corrupted_action_row_is_not_used():
+    d = fresh_design("ex3-2")
+    row = int(np.nonzero(d.action[:, 0] != 0)[0][0])  # the first row the seeding takes
+    a, b = d.action[row, 1], d.action[row, 2]
+    d.action = d.action.copy()
+    d.action[row, 1], d.action[row, 2] = b, a
+    assert not is_block_invariant(d, d.action[row])
+    count, gens = automorphism_generators(d)
+    assert count == (3000, True)
+    assert all(is_block_invariant(d, g) for g in gens)
+
+
+def test_aut_zero_budget_is_a_lower_bound():
+    d = fresh_design("ex1-1")
+    count = automorphism_order(d, time_budget_s=0.0)
+    assert not count.complete and count.order >= 1
+    assert "aut_group" not in d._cache
+    assert automorphism_order(d) == (125, True)
+
+
+def test_canonical_key_zero_budget_raises_and_caches_nothing():
+    d = fresh_design("ex3-1")
+    with pytest.raises(TimeoutError):
+        canonical_key(d, time_budget_s=0.0)
+    assert "canonical_key" not in d._cache
+    automorphism_generators(d)  # with the group cached, the key search is cut too
+    with pytest.raises(TimeoutError):
+        canonical_key(d, time_budget_s=0.0)
+    assert "canonical_key" not in d._cache
+    assert canonical_key(d) == CLASSICAL_KEY

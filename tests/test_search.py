@@ -2,7 +2,8 @@
 
 import pytest
 
-from conftest import entry
+from conftest import emit_ex1_1, entry
+from unitals import isomorph
 from unitals.designs import Mode, develop, verify_steiner
 from unitals.difference import check_difference_family
 from unitals.errors import InconsistentPartial, ModeOrderMismatch, UnsupportedCanonicalization
@@ -217,15 +218,15 @@ def test_search_checks_mode_against_order(order, mode):
 
 # Recorded before the full-block scan was batched, with an element-by-element
 # scan; the batched scan must count the same nodes, also where a budget cuts
-# the search (ex2-4 with 500 nodes ends at 501: the ∞-block loop counts one
-# more node after the budget is used up).  In sg126-12-15 a full block with an
-# involution difference s^-1 x = x^-1 s would be tried if it were not refused.
+# the search (ex2-4 with 500 nodes ends at 500: the ∞-block loop returns as
+# soon as its child has used up the budget).  In sg126-12-15 a full block with
+# an involution difference s^-1 x = x^-1 s would be tried if it were not refused.
 PINNED_FULL_BLOCK_SEARCHES = [
     # entry, removed blocks (None: keep only the first), max_nodes, max_solutions,
     # then nodes, solutions, budget_hit
     ("ex1-1", None, 4_000_000, 2, 1808010, 2, False),
     ("ex2-4", None, 4_000_000, 2, 1882448, 2, False),
-    ("ex2-4", None, 500, 2, 501, 0, True),
+    ("ex2-4", None, 500, 2, 500, 0, True),
     ("ex1-5", [1, 3], 2_000_000, 100_000, 27681, 4, False),
     ("ex1-4", [1, 2], 2_000_000, 100_000, 17632, 4, False),
     ("ex2-15", [0, 1], 2463, 10**6, 2463, 2, True),
@@ -249,3 +250,25 @@ def test_full_block_search_counts_pinned(entry_id, removed, max_nodes, max_solut
     assert len(fams) == solutions
     for fam in fams:
         assert check_difference_family(g, fam)
+
+
+def test_canonical_key_gets_what_is_left_of_the_time_limit(monkeypatch):
+    z125 = emit_ex1_1(monkeypatch)
+    budgets = []
+    key = isomorph.canonical_key
+
+    def recording(design, time_budget_s=600.0):
+        budgets.append(time_budget_s)
+        return key(design, time_budget_s)
+
+    monkeypatch.setattr(isomorph, "canonical_key", recording)
+    stats = SearchStats()
+    fams = list(search_families(z125, Mode.ONE_ROTATIONAL,
+                                SearchBudget(time_limit_s=1e-9), stats=stats))
+    assert fams == [] and stats.budget_hit
+    assert len(budgets) == 1 and budgets[0] < 1e-9
+    stats = SearchStats()
+    fams = list(search_families(z125, Mode.ONE_ROTATIONAL,
+                                SearchBudget(time_limit_s=60.0), stats=stats))
+    assert len(fams) == 1 and not stats.budget_hit
+    assert len(budgets) == 2 and 0 < budgets[1] < 60.0
