@@ -219,19 +219,18 @@ _group_cache: dict = {}
 
 
 def _build_entry_group(spec: GroupSpec, entry_path: Path | None) -> CayleyGroup:
+    """The entry's group, built once per spec; an external table is keyed by
+    its path as written and the entry's directory, so a hit reads no file."""
     if isinstance(spec, External):
-        resolved = _resolve_table_path(spec.path, entry_path)
-        key = ("external", str(resolved))
+        key = ("external", spec.path, entry_path.parent if entry_path else None)
     else:
         key = ("spec", spec)
     cached = _group_cache.get(key)
     if cached is not None:
         return cached
     if isinstance(spec, External):
-        group = build_group(External(str(key[1])))
-    else:
-        group = build_group(spec)
-    _group_cache[key] = group
+        spec = External(str(_resolve_table_path(spec.path, entry_path)))
+    group = _group_cache[key] = build_group(spec)
     return group
 
 

@@ -4,12 +4,16 @@ A difference family over a group G is developed by the left action: the block
 set is { g*B : g in G, B a base block }, deduplicated.  In 1-rotational mode
 (|G| = 125) the extra fixed point ∞ gets the last point index |G|; in
 transitive mode (|G| = 126) the points are exactly the group elements.
+
+A design's blocks are one sorted int array, ``Design.block_rows``, which every
+pair index and block-image check reads; ``relabel`` conjugates the action.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -60,66 +64,62 @@ def _label_key(lab):
 
 @dataclass
 class Design:
-    """Developed design: sorted blocks, pair->line index, developing action."""
+    """Developed design: sorted block array, pair->line index, developing action."""
 
     n_points: int
-    blocks: tuple  # tuple of sorted point-index tuples
+    #: (B, k) int64, one block per row: its points ascending, then -1 padding
+    #: when the block is shorter than the longest; rows in lexicographic order
+    block_rows: np.ndarray = field(repr=False)
     labels: tuple  # point index -> ElementLabel (∞ last in 1-rotational mode)
-    line_of: np.ndarray = field(repr=False)  # (n, n) int32, -1 off-diagonal sentinel
     #: (|G|, n) point permutations the blocks were developed by (row g: x -> g*x,
     #: ∞ fixed), so all of them are automorphisms; None when unknown
     action: np.ndarray | None = field(default=None, repr=False)
+    line_of: np.ndarray = field(init=False, repr=False)  # (n, n) int32, -1 sentinel
+    coverage: np.ndarray = field(init=False, repr=False)  # (n, n) int32, [p<q] count
     _cache: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        self.labels = tuple(self.labels)
+        self.line_of, self.coverage = _pair_pass(self.block_rows, self.n_points)
 
     @classmethod
     def from_blocks(cls, blocks: Sequence[Sequence[int]], n_points: int,
                     labels: Sequence[ElementLabel] | None = None) -> "Design":
-        blk = tuple(sorted(tuple(sorted(map(int, b))) for b in blocks))
-        for b in blk:
-            if len(set(b)) != len(b):
-                raise SchemaError(f"block {b} has repeated points")
-            if b and (b[0] < 0 or b[-1] >= n_points):
-                raise SchemaError(f"block {b} outside point range 0..{n_points - 1}")
-        if labels is None:
-            labels = tuple(range(n_points))
-        pairs = _block_pairs(blk)
-        block_ids, p, q = pairs
-        # the first block through a pair wins when several cover it
-        first = np.full((n_points, n_points), len(blk), dtype=np.int32)
-        np.minimum.at(first, (p, q), block_ids)
-        first = np.minimum(first, first.T)
-        line_of = np.where(first < len(blk), first, -1).astype(np.int32)
-        return cls(n_points, blk, tuple(labels), line_of, _cache={"block_pairs": pairs})
+        lengths = np.array([len(b) for b in blocks], dtype=np.int64)
+        real = np.arange(lengths.max(initial=0)) < lengths[:, None]
+        rows = np.full(real.shape, np.iinfo(np.int64).max)
+        rows[real] = [int(p) for b in blocks for p in b]
+        rows.sort(axis=1)  # a block's points fill its row's first lengths[i] places
+        _check_points(rows, real, n_points)
+        rows[~real] = -1
+        labels = range(n_points) if labels is None else labels
+        return cls(n_points, rows[np.lexsort(rows.T[::-1])], labels)
 
     @property
     def block_count(self) -> int:
-        return len(self.blocks)
+        return len(self.block_rows)
 
-    def block_array(self) -> np.ndarray:
-        arr = self._cache.get("block_array")
-        if arr is None:
-            arr = np.asarray(self.blocks, dtype=np.int32)
-            self._cache["block_array"] = arr
-        return arr
+    @cached_property
+    def blocks(self) -> tuple:
+        """The blocks as tuples of point indices, in block_rows order."""
+        return tuple(tuple(p for p in row if p >= 0) for row in self.block_rows.tolist())
 
+    @cached_property
     def point_lines(self) -> np.ndarray:
         """(n, r) int64: the ascending indices of the r blocks through each point."""
-        lines = self._cache.get("point_lines")
-        if lines is None:
-            arr = self.block_array()
-            degrees = np.bincount(arr.ravel(), minlength=self.n_points)
-            if degrees.min() != degrees.max():
-                raise ValueError("points lie on differing numbers of lines")
-            lines = np.argsort(arr.ravel(), kind="stable") // arr.shape[1]
-            lines = self._cache["point_lines"] = lines.reshape(self.n_points, -1)
-        return lines
+        rows = self.block_rows
+        degrees = np.bincount(rows.ravel(), minlength=self.n_points)
+        if degrees.min() != degrees.max():
+            raise ValueError("points lie on differing numbers of lines")
+        lines = np.argsort(rows.ravel(), kind="stable") // rows.shape[1]
+        return lines.reshape(self.n_points, -1)
 
-    def block_pairs(self) -> tuple:
-        """(block index, p, q) arrays over every point pair p < q of every block."""
-        pairs = self._cache.get("block_pairs")
-        if pairs is None:
-            pairs = self._cache["block_pairs"] = _block_pairs(self.blocks)
-        return pairs
+    def orbits(self) -> tuple:
+        """(action or the trivial group, least point of each point's orbit)."""
+        action = self.action
+        if action is None:
+            action = np.arange(self.n_points)[None]
+        return action, action.min(axis=0)
 
     def format_block(self, index: int, compact: bool = True) -> str:
         return " ".join(
@@ -128,19 +128,32 @@ class Design:
         )
 
 
-def _block_pairs(blocks: tuple) -> tuple:
-    """See Design.block_pairs; blocks of one size are handled as one array."""
-    by_size: dict = {}
-    for i, b in enumerate(blocks):
-        by_size.setdefault(len(b), []).append(i)
-    parts = [(np.zeros(0, dtype=np.int32),) * 3]
-    for size, members in by_size.items():
-        arr = np.asarray([blocks[i] for i in members], dtype=np.int32)
-        arr = arr.reshape(len(members), size)
-        j, k = np.triu_indices(size, k=1)
-        parts.append((np.repeat(np.asarray(members, dtype=np.int32), len(j)),
-                      arr[:, j].ravel(), arr[:, k].ravel()))
-    return tuple(np.concatenate(column) for column in zip(*parts))
+def _check_points(rows: np.ndarray, real: np.ndarray, n_points: int) -> None:
+    """SchemaError for the first block, in tuple order, with a repeated point or
+    one outside 0..n_points-1 (a block: the real entries of a sorted row)."""
+    outside = ((rows < 0) | (rows >= n_points)) & real
+    bad = outside.any(axis=1) | ((rows[:, 1:] == rows[:, :-1]) & real[:, 1:]).any(axis=1)
+    if not bad.any():
+        return
+    b = min(tuple(row[keep].tolist()) for row, keep in zip(rows[bad], real[bad]))
+    if len(set(b)) != len(b):
+        raise SchemaError(f"block {b} has repeated points")
+    raise SchemaError(f"block {b} outside point range 0..{n_points - 1}")
+
+
+def _pair_pass(rows: np.ndarray, n: int) -> tuple:
+    """(line_of, coverage) over every point pair p < q of every block; the
+    first block through a pair is its line when several cover it."""
+    j, k = np.triu_indices(rows.shape[1], k=1)
+    lows, highs = rows[:, j].ravel(), rows[:, k].ravel()
+    real = np.flatnonzero(highs >= 0)  # padding sits right of a block's points
+    pairs = lows[real] * n + highs[real]
+    coverage = np.bincount(pairs, minlength=n * n).astype(np.int32).reshape(n, n)
+    first = np.full((n, n), len(rows), dtype=np.int32)
+    np.minimum.at(first.ravel(), pairs, (real // len(j)).astype(np.int32))
+    line_of = np.minimum(first, first.T)
+    line_of[line_of == len(rows)] = -1
+    return line_of, coverage
 
 
 def resolve_family(group: CayleyGroup, family: DifferenceFamily) -> list:
@@ -169,27 +182,22 @@ def develop(group: CayleyGroup, family: DifferenceFamily) -> Design:
 def develop_blocks(group: CayleyGroup, base_blocks: Sequence[Sequence[int]],
                    one_rotational: bool = False) -> Design:
     """Development of raw index blocks (any block size; used by search too)."""
-    n = group.order
-    inf_index = n
+    n = group.order  # also the index of ∞
     n_points = n + 1 if one_rotational else n
-    blocks = set()
-    table = group.table
-    for block in base_blocks:
-        finite = [p for p in block if p != inf_index]
-        if any(not 0 <= p < n for p in finite):
+    fixed = np.full((n, n_points - n), n, dtype=group.table.dtype)
+    action = np.hstack([group.table, fixed])  # ∞ is fixed by every translation
+    width = max(map(len, base_blocks), default=0)
+    rows = np.full((len(base_blocks), n, width), -1, dtype=np.int64)
+    for translates, block in zip(rows, base_blocks):
+        if any(not 0 <= p <= n for p in block):
             raise LabelNotInGroup(f"block {block} has out-of-range entries")
-        has_inf = len(finite) < len(block)
-        if has_inf and not one_rotational:
+        if n in block and not one_rotational:
             raise LabelNotInGroup("∞ point requires 1-rotational mode")
-        translates = np.sort(table[:, finite], axis=1)  # row g = g*B
-        if has_inf:
-            translates = np.hstack([translates, np.full((n, 1), inf_index)])
-        blocks.update(map(tuple, translates.tolist()))
+        translates[:, :len(block)] = np.sort(action[:, block], axis=1)  # row g = g*B
+    rows = np.unique(rows.reshape(len(base_blocks) * n, width), axis=0)
+    _check_points(rows, rows >= 0, n_points)
     labels = group.labels + ((INF,) if one_rotational else ())
-    design = Design.from_blocks(blocks, n_points, labels)
-    fixed = np.full((n, n_points - n), inf_index, dtype=table.dtype)
-    design.action = np.hstack([table, fixed])  # ∞ is fixed by every translation
-    return design
+    return Design(n_points, rows, labels, action)
 
 
 @dataclass
@@ -220,20 +228,19 @@ def verify_steiner(design: Design) -> VerificationReport:
     fingerprint's precondition reads it instead of counting again.
     """
     n = design.n_points
-    _, lows, highs = design.block_pairs()
-    cov = np.bincount(lows.astype(np.int64) * n + highs, minlength=n * n).reshape(n, n)
-    duplicates = len(design.blocks) - len(set(design.blocks))
+    rows = design.block_rows
+    duplicates = int((rows[1:] == rows[:-1]).all(axis=1).sum())  # equal rows are adjacent
     iu = np.triu_indices(n, k=1)
-    counts = cov[iu]
+    counts = design.coverage[iu]
     bad = counts != 1
     defects = [((p, q), c) for p, q, c in zip(
         iu[0][bad].tolist(), iu[1][bad].tolist(), counts[bad].tolist())]
-    block_sizes_ok = all(len(b) == BLOCK_SIZE for b in design.blocks)
     is_steiner = (
         not defects
         and design.block_count == BLOCK_COUNT
         and design.n_points == N_POINTS
-        and block_sizes_ok
+        and rows.shape[1] == BLOCK_SIZE
+        and bool((rows >= 0).all())
         and duplicates == 0
     )
     design._cache["steiner_ok"] = is_steiner
@@ -251,16 +258,20 @@ def line_through(design: Design, p: int, q: int) -> int:
 
 
 def relabel(design: Design, permutation: Sequence[int]) -> Design:
-    """Apply a point bijection; blocks are re-sorted and indices rebuilt."""
+    """Point x becomes perm[x] in the blocks and labels; an action row a
+    becomes perm a perm^-1, so the copy keeps its automorphisms."""
     perm = np.asarray(permutation, dtype=np.int64)
     n = design.n_points
     if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
         raise NotAPermutation(f"not a bijection on 0..{n - 1}")
-    new_labels = [None] * n
-    for p in range(n):
-        new_labels[int(perm[p])] = design.labels[p]
-    blocks = [[int(perm[p]) for p in b] for b in design.blocks]
-    return Design.from_blocks(blocks, n, tuple(new_labels))
+    rows = np.sort(np.append(perm, n)[design.block_rows], axis=1)  # padding -> n, last
+    rows[rows == n] = -1
+    labels = (design.labels[p] for p in np.argsort(perm).tolist())
+    action = design.action
+    if action is not None:
+        action = np.empty_like(action)
+        action[:, perm] = perm[design.action]
+    return Design(n, rows[np.lexsort(rows.T[::-1])], labels, action)
 
 
 def translation_permutation(group: CayleyGroup, g: int, one_rotational: bool) -> np.ndarray:
@@ -271,10 +282,26 @@ def translation_permutation(group: CayleyGroup, g: int, one_rotational: bool) ->
     return perm
 
 
+def block_image(design: Design, perm: Sequence[int]) -> tuple:
+    """(image, keys): row i of image is block i mapped by perm, points
+    ascending, padding last as n; keys[i] reads it as base-(n + 1) digits, so
+    keys sort rows lexicographically and equal sorted keys mean equal blocks."""
+    n = design.n_points
+    image = np.sort(np.append(perm, n)[design.block_rows], axis=1)
+    if (n + 1) ** image.shape[1] > np.iinfo(np.int64).max:
+        raise ValueError(f"blocks of {image.shape[1]} points have no int64 key")
+    weights = (n + 1) ** np.arange(image.shape[1] - 1, -1, -1, dtype=np.int64)
+    return image, image @ weights
+
+
+def maps_blocks(a: Design, b: Design, perm: Sequence[int]) -> bool:
+    """Does the point map perm send the blocks of a onto those of b?"""
+    own = b._cache.get("block_keys")
+    if own is None:
+        own = b._cache["block_keys"] = np.sort(block_image(b, np.arange(b.n_points))[1])
+    return bool(np.array_equal(np.sort(block_image(a, perm)[1]), own))
+
+
 def is_block_invariant(design: Design, perm: Sequence[int]) -> bool:
     """Does the permutation map the block set onto itself?"""
-    perm = np.asarray(perm, dtype=np.int64)
-    arr = design.block_array()
-    mapped = np.sort(perm[arr], axis=1)
-    order = np.lexsort(mapped.T[::-1])
-    return bool(np.array_equal(mapped[order], arr))
+    return maps_blocks(design, design, perm)

@@ -93,13 +93,13 @@ def _incidence_tables(design: Design):
     if cached is not None:
         return cached
     n = design.n_points
-    blocks = design.block_array()  # (B, 6), each row ascending
+    blocks = design.block_rows  # (B, 6), each row ascending
     firsts, seconds = np.nonzero(~np.eye(BLOCK_SIZE, dtype=bool))
     rest = np.array([[r for r in range(BLOCK_SIZE) if r not in (j, k)]
                      for j, k in zip(firsts, seconds)])
     others = np.zeros((n, n, 4), dtype=np.int32)
     others[blocks[:, firsts], blocks[:, seconds]] = blocks[:, rest]
-    lines = design.point_lines()
+    lines = design.point_lines
     meets = np.zeros((len(blocks), len(blocks)), dtype=bool)
     meets[lines[:, :, None], lines[:, None, :]] = True  # both lines through one point
     disjoint = ~meets
@@ -133,26 +133,23 @@ def _kernel_rows(design: Design, origins) -> np.ndarray:
 def pair_histograms(design: Design) -> np.ndarray:
     """(n, n, 5) array: [o, y] = histogram over quadruples with triple (o, x, y).
 
-    The histograms are invariant under automorphisms, so for a design that
-    carries the group action it was developed by, only one origin per orbit
-    goes through the kernel and [g*o, g*y] = [o, y] fills the rest.
+    The histograms are invariant under automorphisms, so only one origin per
+    orbit of the design's action goes through the kernel and [g*o, g*y] =
+    [o, y] fills the rest; a design without an action has one-point orbits.
     """
     cached = design._cache.get("pair_histograms")
     if cached is not None:
         return cached
     _require_steiner(design)
-    action = design.action
-    if action is None:
-        hist = _kernel_rows(design, range(design.n_points))
-    else:
-        reps = [0, *range(len(action), design.n_points)]  # the group's orbit; fixed ∞
-        # the kernel's temporaries are freed before hist is allocated: a
-        # reproduction then peaks at about 2.9 MB of heap, not 3.5, which stays
-        # under glibc's trim threshold, so its pages are reused, not faulted in again
-        rows = _kernel_rows(design, reps)
-        hist = np.zeros((design.n_points, design.n_points, 5), dtype=np.int64)
-        for o, row in zip(reps, rows):
-            hist[action[:, o][:, None], action] = row
+    action, minima = design.orbits()
+    reps = np.unique(minima)  # one origin per orbit
+    # the kernel's temporaries are freed before hist is allocated: a
+    # reproduction then peaks at about 2.9 MB of heap, not 3.5, which stays
+    # under glibc's trim threshold, so its pages are reused, not faulted in again
+    rows = _kernel_rows(design, reps)
+    hist = np.zeros((design.n_points, design.n_points, 5), dtype=np.int64)
+    for o, row in zip(reps.tolist(), rows):
+        hist[action[:, o][:, None], action] = row
     design._cache["pair_histograms"] = hist
     return hist
 

@@ -16,7 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .designs import Design, is_block_invariant
+from .designs import (Design, block_image, is_block_invariant, maps_blocks,
+                      translation_permutation)
 from .fingerprint import fingerprint, pair_histograms, point_histograms
 
 
@@ -31,26 +32,15 @@ class OrderedPartition:
         return self.n_cells == len(self.cell_ids)
 
 
-class _Struct(NamedTuple):
-    blocks: np.ndarray       # (B, 6)
-    point_lines: np.ndarray  # (n, lines-per-point)
-    pair_codes: np.ndarray   # (n, n) canonical rank of the symmetrized pair profile
-    design: Design
-
-
-def _struct(design: Design) -> _Struct:
-    cached = design._cache.get("iso_struct")
-    if cached is not None:
-        return cached
-    n = design.n_points
-    point_lines = design.point_lines()
-    pairs = pair_histograms(design)
-    sym = np.concatenate([pairs, pairs.transpose(1, 0, 2)], axis=2)
-    codes, _ = _rank_rows(sym.reshape(n * n, -1))
-    pair_codes = codes.reshape(n, n)
-    struct = _Struct(design.block_array(), point_lines, pair_codes, design)
-    design._cache["iso_struct"] = struct
-    return struct
+def _pair_codes(design: Design) -> np.ndarray:
+    """(n, n) canonical rank of each point pair's symmetrized pair profile."""
+    codes = design._cache.get("pair_codes")
+    if codes is None:
+        pairs = pair_histograms(design)
+        sym = np.concatenate([pairs, pairs.transpose(1, 0, 2)], axis=2)
+        codes, _ = _rank_rows(sym.reshape(design.n_points ** 2, -1))
+        codes = design._cache["pair_codes"] = codes.reshape(pairs.shape[:2])
+    return codes
 
 
 def _rank_rows(rows: np.ndarray) -> tuple:
@@ -68,7 +58,7 @@ def _rank_rows(rows: np.ndarray) -> tuple:
     return codes.astype(np.int64, copy=False), len(uniq)
 
 
-def _refine(struct: _Struct, cell_ids: np.ndarray) -> tuple:
+def _refine(design: Design, cell_ids: np.ndarray) -> tuple:
     """Stable refinement under line cell-signatures; returns (partition, trace).
 
     A point's signature combines its own cell, the multiset of its lines'
@@ -77,13 +67,13 @@ def _refine(struct: _Struct, cell_ids: np.ndarray) -> tuple:
     so isomorphic configurations refine to identically numbered partitions.
     """
     n = len(cell_ids)
-    line_of = struct.design.line_of
+    line_of = design.line_of
     cell_ids, n_cells = _rank_rows(cell_ids.reshape(-1, 1))
     trace = []
     while True:
-        line_rows = np.sort(cell_ids[struct.blocks], axis=1)
+        line_rows = np.sort(cell_ids[design.block_rows], axis=1)
         line_codes, _ = _rank_rows(line_rows)
-        point_rows = np.sort(line_codes[struct.point_lines], axis=1)
+        point_rows = np.sort(line_codes[design.point_lines], axis=1)
         parts = [cell_ids.reshape(-1, 1), point_rows]
         sizes0 = np.bincount(cell_ids, minlength=n_cells)
         single_cells = np.nonzero(sizes0 == 1)[0]
@@ -96,7 +86,7 @@ def _refine(struct: _Struct, cell_ids: np.ndarray) -> tuple:
             sig2 = line_codes[joined]
             sig2[mask] = -1
             parts.append(sig2)
-            parts.append(struct.pair_codes[:, singles])
+            parts.append(_pair_codes(design)[:, singles])
         combined = np.concatenate(parts, axis=1)
         new_ids, new_count = _rank_rows(combined)
         sizes = tuple(np.bincount(new_ids, minlength=new_count).tolist())
@@ -132,7 +122,7 @@ def initial_partition(design: Design) -> OrderedPartition:
     """Points grouped by fingerprint profile, then refined to stability."""
     hist = point_histograms(design)  # also enforces the Steiner precondition
     profile_ids, _ = _rank_rows(hist)
-    partition, _ = _refine(_struct(design), profile_ids)
+    partition, _ = _refine(design, profile_ids)
     return partition
 
 
@@ -159,7 +149,7 @@ def _check_deadline(deadline: float) -> None:
         raise TimeoutError
 
 
-def _map_search(sa: _Struct, sb: _Struct, pa: OrderedPartition,
+def _map_search(da: Design, db: Design, pa: OrderedPartition,
                 pb: OrderedPartition, deadline: float,
                 auts_b: list, path_b: tuple) -> np.ndarray | None:
     """Backtracking search for a block-set isomorphism respecting partitions.
@@ -171,29 +161,23 @@ def _map_search(sa: _Struct, sb: _Struct, pa: OrderedPartition,
     _check_deadline(deadline)
     if pa.is_discrete():
         mapping = _discrete_mapping(pa, pb)
-        if _maps_blocks(sa, sb, mapping):
+        if maps_blocks(da, db, mapping):
             return mapping
         return None
     t = _target_cell(pa)
     a = int(np.nonzero(pa.cell_ids == t)[0][0])
-    ra, tra = _refine(sa, _individualize(pa, a))
+    ra, tra = _refine(da, _individualize(pa, a))
     failed = np.zeros(len(pb.cell_ids), dtype=bool)
     for b in np.nonzero(pb.cell_ids == t)[0].tolist():
         if failed[b]:
             continue
-        rb, trb = _refine(sb, _individualize(pb, b))
+        rb, trb = _refine(db, _individualize(pb, b))
         if _compatible(ra, tra, rb, trb):
-            found = _map_search(sa, sb, ra, rb, deadline, auts_b, path_b + (b,))
+            found = _map_search(da, db, ra, rb, deadline, auts_b, path_b + (b,))
             if found is not None:
                 return found
         failed |= _orbit_under_stabilizer(b, path_b, auts_b, len(failed))
     return None
-
-
-def _maps_blocks(sa: _Struct, sb: _Struct, mapping: np.ndarray) -> bool:
-    mapped = np.sort(mapping[sa.blocks], axis=1)
-    order = np.lexsort(mapped.T[::-1])
-    return bool(np.array_equal(mapped[order], sb.blocks))
 
 
 @dataclass
@@ -222,16 +206,15 @@ def are_isomorphic(a: Design, b: Design, time_budget_s: float = 600.0) -> IsoRes
     pa, pb = initial_partition(a), initial_partition(b)
     if not _compatible(pa, None, pb, None):
         return IsoResult(False, None)
-    sa, sb = _struct(a), _struct(b)
     cached = b._cache.get("aut_group")  # its generators start with the seeds
-    auts_b = cached[1] if cached is not None else _translation_seeds(sb)
+    auts_b = cached[1] if cached is not None else _translation_seeds(b)
     try:
-        mapping = _map_search(sa, sb, pa, pb, deadline, auts_b, ())
+        mapping = _map_search(a, b, pa, pb, deadline, auts_b, ())
     except TimeoutError:
         return IsoResult(False, None, complete=False)
     if mapping is None:
         return IsoResult(False, None)
-    if not _maps_blocks(sa, sb, mapping):
+    if not maps_blocks(a, b, mapping):
         raise AssertionError("search returned an invalid witness")
     return IsoResult(True, [int(x) for x in mapping])
 
@@ -262,7 +245,6 @@ def automorphism_generators(design: Design,
     if cached is not None:
         return cached
     deadline = time.monotonic() + time_budget_s
-    struct = _struct(design)
     n = design.n_points
     chain = [(initial_partition(design), None)]  # (partition, trace) per level
     base: list = []
@@ -270,9 +252,9 @@ def automorphism_generators(design: Design,
         partition = chain[-1][0]
         t = _target_cell(partition)
         base.append(int(np.nonzero(partition.cell_ids == t)[0][0]))
-        chain.append(_refine(struct, _individualize(partition, base[-1])))
+        chain.append(_refine(design, _individualize(partition, base[-1])))
 
-    gens = _translation_seeds(struct)
+    gens = _translation_seeds(design)
     order = 1
     try:
         for i in reversed(range(len(base))):
@@ -285,15 +267,15 @@ def automorphism_generators(design: Design,
             for c in np.nonzero(cell)[0].tolist():
                 if orbit[c] or failed[c]:
                     continue
-                rc, trc = _refine(struct, _individualize(partition, c))
+                rc, trc = _refine(design, _individualize(partition, c))
                 mapping = None
                 if _compatible(rb, trb, rc, trc):
-                    mapping = _map_search(struct, struct, rb, rc, deadline,
+                    mapping = _map_search(design, design, rb, rc, deadline,
                                           gens, fixed + (c,))
                 if mapping is None:
                     failed |= _orbit_under_stabilizer(c, fixed, gens, n)
                     continue
-                if not _maps_blocks(struct, struct, mapping):
+                if not is_block_invariant(design, mapping):
                     raise AssertionError("invalid automorphism witness")
                 gens.append(mapping)
                 orbit = _orbit_under_stabilizer(base[i], fixed, gens, n)
@@ -305,26 +287,25 @@ def automorphism_generators(design: Design,
     return result
 
 
-def _translation_seeds(struct: _Struct) -> list:
-    """Rows of the design's developing action that generate its orbit.
+def _translation_seeds(design: Design) -> list:
+    """Rows of the design's developing action that generate one of its orbits.
 
-    Rows are taken greedily while they enlarge the orbit of point 0, and
-    each is used only if it maps the blocks onto themselves.
+    Rows are taken greedily while they enlarge the largest orbit, each only if
+    it maps the blocks onto themselves; one-point orbits give no seeds.
     """
-    action = struct.design.action
-    if action is None:
-        return []
-    reach = len(np.unique(action[:, 0]))
-    n = struct.design.n_points
+    action, minima = design.orbits()
+    sizes = np.bincount(minima)
+    start = int(np.argmax(sizes))
+    n = design.n_points
     seeds: list = []
-    orbit = _orbit_under_stabilizer(0, (), seeds, n)
+    orbit = _orbit_under_stabilizer(start, (), seeds, n)
     for row in action.astype(np.int64):
-        if orbit.sum() == reach:
+        if orbit.sum() == sizes[start]:
             break
-        if orbit[row[0]] or not _maps_blocks(struct, struct, row):
+        if orbit[row[start]] or not is_block_invariant(design, row):
             continue
         seeds.append(row)
-        orbit = _orbit_under_stabilizer(0, (), seeds, n)
+        orbit = _orbit_under_stabilizer(start, (), seeds, n)
     return seeds
 
 
@@ -345,7 +326,6 @@ def canonical_key(design: Design, time_budget_s: float = 600.0) -> bytes:
     if cached is not None:
         return cached
     deadline = time.monotonic() + time_budget_s
-    struct = _struct(design)
     partition = initial_partition(design)
     fp = fingerprint(design)
 
@@ -359,10 +339,9 @@ def canonical_key(design: Design, time_budget_s: float = 600.0) -> bytes:
     aut_gens = list(aut_gens)
 
     def leaf_blocks(p: OrderedPartition) -> bytes:
-        labeling = p.cell_ids  # discrete: cell index = new point name
-        mapped = np.sort(labeling[struct.blocks], axis=1)
-        order = np.lexsort(mapped.T[::-1])
-        return mapped[order].astype(np.int16).tobytes()
+        # discrete: cell index = new point name
+        image, keys = block_image(design, p.cell_ids)
+        return image[np.argsort(keys)].astype(np.int16).tobytes()
 
     def dfs(partition: OrderedPartition, inv_path: tuple, base: tuple):
         _check_deadline(deadline)
@@ -393,7 +372,7 @@ def canonical_key(design: Design, time_budget_s: float = 600.0) -> bytes:
                 continue
             done.append(v)
             seen |= _orbit_under_stabilizer(v, base, aut_gens, n)
-            refined, trace = _refine(struct, _individualize(partition, v))
+            refined, trace = _refine(design, _individualize(partition, v))
             child_inv = inv_path + (trace,)
             if best["inv"] is not None:
                 prefix = best["inv"][:len(child_inv)]
@@ -402,6 +381,7 @@ def canonical_key(design: Design, time_budget_s: float = 600.0) -> bytes:
             dfs(refined, child_inv, base + (v,))
 
     dfs(partition, (), ())
+    del dfs  # the recursive closure would keep the design in a reference cycle
     key = repr((fp.items, best["inv"])).encode() + b"|" + best["blocks"]
     digest = hashlib.sha256(key).hexdigest().encode()
     design._cache["canonical_key"] = digest
@@ -436,10 +416,5 @@ def _orbit_under_stabilizer(points, base: tuple, aut_gens: list, n: int) -> np.n
 
 def left_translations_are_automorphisms(design: Design, group, one_rotational: bool) -> bool:
     """Every left translation maps the block set onto itself."""
-    from .designs import translation_permutation
-
-    for g in range(group.order):
-        perm = translation_permutation(group, g, one_rotational)
-        if not is_block_invariant(design, perm):
-            return False
-    return True
+    return all(is_block_invariant(design, translation_permutation(group, g, one_rotational))
+               for g in range(group.order))

@@ -1,6 +1,7 @@
 """Catalog loading, schema, reproduction, ordering reconstruction."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -157,6 +158,17 @@ def test_group_unavailable(tmp_path, ex1_1):
     e = load_entry(p)
     with pytest.raises(GroupUnavailable):
         e.group()
+
+
+def test_group_cache_hit_reads_no_file(monkeypatch):
+    e = entry("sg126-8-1")
+    group = e.group()
+
+    def refuse(path):
+        raise AssertionError(f"filesystem touched: {path}")
+
+    monkeypatch.setattr(Path, "exists", refuse)
+    assert e.group() is group
 
 
 def test_reproduce_verifies_once(monkeypatch):

@@ -15,6 +15,7 @@ from unitals.designs import (
     develop_blocks,
     is_block_invariant,
     line_through,
+    maps_blocks,
     relabel,
     translation_permutation,
     verify_steiner,
@@ -201,5 +202,48 @@ def test_only_developed_designs_carry_the_action(design_ex1_1, z125):
     assert action.shape == (125, 126)
     assert np.array_equal(action[:, :125], z125.table)
     assert (action[:, 125] == 125).all()
-    assert relabel(design_ex1_1, range(126)).action is None
     assert Design.from_blocks(design_ex1_1.blocks, 126).action is None
+    # a relabeled copy carries the conjugated action: perm . a . perm^-1
+    perm = np.random.default_rng(3).permutation(126)
+    inverse = np.argsort(perm)
+    copy = relabel(design_ex1_1, perm)
+    assert copy.action.shape == action.shape
+    for row, a in zip(copy.action, action):
+        assert np.array_equal(row, perm[a][inverse])
+        assert is_block_invariant(copy, row)
+
+
+def _lexsort_maps(a, b, perm):
+    """The former block-image check: sort each mapped block, lexsort the
+    rows, compare with b's sorted block array."""
+    mapped = np.sort(np.asarray(perm)[np.asarray(a.blocks)], axis=1)
+    return np.array_equal(mapped[np.lexsort(mapped.T[::-1])], np.asarray(b.blocks))
+
+
+@pytest.mark.parametrize("name", ["ex1-1", "shrunk", "duplicates"])
+def test_block_image_agrees_with_lexsort_oracle(name):
+    d = design_of("ex1-1") if name == "ex1-1" else _malformed_designs()[name][0]
+    rng = np.random.default_rng(11)
+    translations = design_of("ex1-1").action[::25].astype(np.int64)
+    perms = [np.arange(126), *translations, *(rng.permutation(126) for _ in range(20))]
+    verdicts = []
+    for perm in perms:
+        verdicts.append(is_block_invariant(d, perm))
+        assert verdicts[-1] == _lexsort_maps(d, d, perm)
+        copy = relabel(d, perm)
+        assert maps_blocks(d, copy, perm) and _lexsort_maps(d, copy, perm)
+        assert maps_blocks(copy, d, perm) == _lexsort_maps(copy, d, perm)
+    assert verdicts[0] and not all(verdicts)
+
+
+def test_ragged_design_relabels_and_maps_like_tuples():
+    d = _malformed_designs()["ragged"][0]  # blocks of 1, 2 and 3 points on Z_7
+    assert d.block_rows.shape == (len(d.blocks), 3)
+    perm = np.random.default_rng(2).permutation(7)
+    copy = relabel(d, perm)
+    assert list(copy.blocks) == sorted(tuple(sorted(int(perm[p]) for p in b)) for b in d.blocks)
+    assert np.array_equal(copy.line_of, _pairwise_reference(copy)[0])
+    for q in [perm, np.roll(perm, 1), np.arange(7)]:
+        image = sorted(tuple(sorted(int(q[p]) for p in b)) for b in d.blocks)
+        assert maps_blocks(d, copy, q) == (image == list(copy.blocks))
+    assert all(is_block_invariant(d, row) for row in d.action)

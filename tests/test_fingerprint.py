@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import design_of, entry
 from unitals import fingerprint as fp_module
-from unitals.designs import Mode, develop, relabel
+from unitals.designs import Design, Mode, develop, relabel
 from unitals.errors import DuplicateKey, NotASteinerSystem, ParseError
 from unitals.fingerprint import (
     TOTAL_QUADRUPLES,
@@ -130,7 +130,7 @@ def test_orbit_path_equals_full_kernel(entry_id, kernel_origins):
     e = entry(entry_id)
     developed = develop(e.group(), e.family())
     fast = pair_histograms(developed)
-    full = pair_histograms(relabel(developed, range(126)))  # carries no action
+    full = pair_histograms(Design.from_blocks(developed.blocks, 126, developed.labels))
     one_rotational = e.mode is Mode.ONE_ROTATIONAL  # orbits: G and {∞}
     assert kernel_origins == [2 if one_rotational else 1, 126]
     assert fast.dtype == full.dtype
@@ -139,12 +139,16 @@ def test_orbit_path_equals_full_kernel(entry_id, kernel_origins):
 
 @pytest.mark.parametrize("entry_id", ["ex1-1", "sg126-1-1"])
 def test_relabeled_copy_takes_full_kernel(entry_id, kernel_origins):
+    """A relabeled copy keeps the conjugated action and takes the orbit path;
+    the same blocks without an action take the full kernel, to equal rows."""
     d = design_of(entry_id)
     perm = np.random.default_rng(7).permutation(126)
     copy = relabel(d, perm)
-    assert copy.action is None
     moved = np.empty_like(pair_histograms(d))
     moved[perm[:, None], perm[None, :]] = pair_histograms(d)
     assert np.array_equal(pair_histograms(copy), moved)
+    assert kernel_origins[-1] == (2 if entry(entry_id).mode is Mode.ONE_ROTATIONAL else 1)
+    bare = Design.from_blocks(copy.blocks, 126, copy.labels)
+    assert np.array_equal(pair_histograms(bare), moved)
     assert kernel_origins[-1] == 126
     assert fingerprint(copy) == fingerprint(d)

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import design_of, entry
 from unitals import isomorph
-from unitals.designs import develop, is_block_invariant, relabel
+from unitals.designs import Design, develop, is_block_invariant, relabel
 from unitals.fingerprint import fingerprint
 from unitals.isomorph import (
     are_isomorphic,
@@ -220,12 +220,23 @@ def test_aut_order_and_key_pinned(entry_id):
 
 
 def test_classical_unital_relabeled_has_full_group():
-    """A relabeled copy has no developing action to seed the search with."""
-    d = relabel(design_of("ex3-1"), np.random.default_rng(7).permutation(126))
+    """Relabeled blocks without an action leave no translations to seed with."""
+    copy = relabel(design_of("ex3-1"), np.random.default_rng(7).permutation(126))
+    d = Design.from_blocks(copy.blocks, 126, copy.labels)
     assert d.action is None
     count, gens = automorphism_generators(d)
     assert count == (756000, True)
     assert all(is_block_invariant(d, g) for g in gens)
+    assert canonical_key(d) == CLASSICAL_KEY
+
+
+def test_relabeled_action_seeds_from_its_largest_orbit():
+    perm = (np.arange(126) + 1) % 126  # ∞ becomes point 0, a one-point orbit
+    d = relabel(fresh_design("ex3-1"), perm)
+    assert perm[125] == 0
+    assert isomorph._translation_seeds(d)
+    count, gens = automorphism_generators(d)
+    assert count == (756000, True)
     assert canonical_key(d) == CLASSICAL_KEY
 
 
