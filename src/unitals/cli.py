@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 from . import catalog as cat
@@ -224,6 +225,7 @@ def _cmd_search(args) -> int:
                           time_limit_s=args.time_limit)
     stats = SearchStats()
     n = 0
+    start = time.perf_counter()
     for fam in search_families(group, args.mode, budget,
                                canonicalize=args.canonicalize, stats=stats):
         n += 1
@@ -238,8 +240,10 @@ def _cmd_search(args) -> int:
             source="search result",
         ))
         print(json.dumps(record))
+    elapsed = time.perf_counter() - start
     print(f"{stats.solutions} families, {stats.nodes} nodes, "
-          f"budget_hit={stats.budget_hit}", file=sys.stderr)
+          f"budget_hit={stats.budget_hit}, {elapsed:.3f} s, "
+          f"{stats.nodes / elapsed if elapsed > 0 else 0:.0f} nodes/s", file=sys.stderr)
     return EXIT_BUDGET if stats.budget_hit else EXIT_OK
 
 

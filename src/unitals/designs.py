@@ -194,10 +194,21 @@ def develop_blocks(group: CayleyGroup, base_blocks: Sequence[Sequence[int]],
         if n in block and not one_rotational:
             raise LabelNotInGroup("∞ point requires 1-rotational mode")
         translates[:, :len(block)] = np.sort(action[:, block], axis=1)  # row g = g*B
-    rows = np.unique(rows.reshape(len(base_blocks) * n, width), axis=0)
+    rows = rows.reshape(len(base_blocks) * n, width)
+    rows = rows[first_rows(rows)]
     _check_points(rows, rows >= 0, n_points)
     labels = group.labels + ((INF,) if one_rotational else ())
     return Design(n_points, rows, labels, action)
+
+
+def first_rows(rows: np.ndarray) -> np.ndarray:
+    """Index of the first occurrence of each distinct row, the rows taken in
+    lexicographic order: rows[first_rows(rows)] is np.unique(rows, axis=0)."""
+    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
+    ordered = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return order[first]
 
 
 @dataclass

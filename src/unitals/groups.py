@@ -236,6 +236,8 @@ class CayleyGroup:
     inverses: np.ndarray  # (n,) int32
     labels: tuple  # length-n tuple of ElementLabel
     index: dict = field(repr=False)  # label -> element index
+    #: tables derived from the Cayley table on first use (the search's candidates)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def mul(self, g: int, h: int) -> int:
         n = self.order

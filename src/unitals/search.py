@@ -9,6 +9,9 @@ the identity (translation normalization).  Three candidate kinds:
   * in 1-rotational mode, the ∞-block H ∪ {∞} for an order-5 subgroup H;
   * subgroup-coset unions (stabilized blocks, orbit size |G|/|S|), which are
     the only way to cover involution differences in transitive mode.
+
+The coset unions, indexed by the differences they cover, and the masks of the
+difference pairs are built once per group and kept in ``CayleyGroup._cache``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import BLOCK_SIZE, DifferenceFamily, Mode, resolve_family
+from .designs import BLOCK_SIZE, DifferenceFamily, Mode, first_rows, resolve_family
 from .difference import block_differences, check_difference_family, difference_coverage
 from .errors import InconsistentPartial, UnsupportedCanonicalization
 from .groups import INF, CayleyGroup, subgroups_of_order
@@ -92,21 +95,80 @@ class _StabilizedCandidate:
     covered: np.ndarray  # bool: differences covered exactly once after quotient
 
 
+def _masks(flags: np.ndarray) -> list:
+    """Python int bitmasks of the rows of a 2-D bool array: bit d of mask i is
+    flags[i, d]."""
+    packed = np.packbits(flags, axis=1, bitorder="little")
+    width, buf = packed.shape[1], packed.tobytes()
+    return [int.from_bytes(buf[i:i + width], "little") for i in range(0, len(buf), width)]
+
+
 def _stabilized_candidates(group: CayleyGroup) -> list:
-    """Coset-union blocks (one per left-stabilizer class), quotient-exact only."""
-    blocks = {}  # insertion-ordered: the DFS tries candidates in discovery order
+    """Coset-union blocks (one per left-stabilizer class), quotient-exact only;
+    built once per group."""
+    cached = group._cache.get("stabilized_candidates")
+    if cached is not None:
+        return cached
+    rows = []  # in discovery order: the DFS tries candidates in this order
     for s in (6, 3, 2):
+        r = BLOCK_SIZE // s - 1  # cosets joined to the subgroup, out of n/s - 1
+        combos = list(itertools.combinations(range(group.order // s - 1), r))
+        combos = np.array(combos, dtype=np.int64).reshape(len(combos), r)
         for sub in subgroups_of_order(group, s):
-            sub = tuple(sorted(sub))
-            cosets = np.unique(np.sort(group.table[list(sub)].T, axis=1), axis=0)  # rows S*x
-            others = [tuple(c) for c in cosets.tolist() if group.identity not in c]
-            for extra in itertools.combinations(others, BLOCK_SIZE // s - 1):
-                blocks.setdefault(tuple(sorted(sum(extra, sub))), None)
-    counts, stabs = block_differences(group, list(blocks))
-    quot = counts // stabs[:, None]
-    # exact quotient, and no difference covered twice
-    keep = (counts % stabs[:, None] == 0).all(axis=1) & (quot.max(axis=1) <= 1)
-    return [_StabilizedCandidate(b, q == 1) for b, q, k in zip(blocks, quot, keep) if k]
+            sub = np.array(sorted(sub))
+            cosets = np.unique(np.sort(group.table[sub].T, axis=1), axis=0)  # rows S*x
+            extra = cosets[(cosets != group.identity).all(axis=1)][combos]
+            rows.append(np.hstack([np.broadcast_to(sub, (len(combos), s)),
+                                   extra.reshape(len(combos), r * s)]))
+    rows = np.sort(np.concatenate(rows), axis=1)
+    rows = rows[np.sort(first_rows(rows))]  # each block once, in discovery order
+    counts, stabs = block_differences(group, rows)
+    # each difference covered once after the quotient, or not at all
+    keep = ((counts == 0) | (counts == stabs[:, None])).all(axis=1)
+    cands = [_StabilizedCandidate(b, c)
+             for b, c in zip(map(tuple, rows[keep].tolist()), counts[keep] != 0)]
+    group._cache["stabilized_candidates"] = cands
+    return cands
+
+
+def _candidates_by_delta(group: CayleyGroup) -> list:
+    """by_delta[d]: (covered mask, block) of the stabilized candidates that
+    cover d, in candidate order; built once per group."""
+    cached = group._cache.get("candidates_by_delta")
+    if cached is not None:
+        return cached
+    cands = _stabilized_candidates(group)
+    covered = np.array([c.covered for c in cands], dtype=bool).reshape(len(cands), group.order)
+    entries = list(zip(_masks(covered), (c.block for c in cands)))
+    by_delta = [[entries[i] for i in np.flatnonzero(col).tolist()] for col in covered.T]
+    group._cache["candidates_by_delta"] = by_delta
+    return by_delta
+
+
+class _PairMasks(dict):
+    """pairs[a][x] = (1 << a^-1 x) | (1 << x^-1 a), or 0 when the two are
+    equal; row a is built when first asked for.  x^-1 a is the inverse of
+    d = a^-1 x, so every row gathers from the same n masks of the pairs
+    {d, d^-1}."""
+
+    def __init__(self, group: CayleyGroup):
+        super().__init__()
+        self.table, self.inverses = group.table, group.inverses
+        self.masks = [(1 << d) | (1 << i) if d != i else 0
+                      for d, i in enumerate(group.inverses.tolist())]
+
+    def __missing__(self, a: int) -> list:
+        masks = self.masks
+        row = self[a] = [masks[d] for d in self.table[self.inverses[a]].tolist()]
+        return row
+
+
+def _difference_pairs(group: CayleyGroup) -> _PairMasks:
+    """The group's pair masks, kept across searches."""
+    cached = group._cache.get("difference_pairs")
+    if cached is None:
+        cached = group._cache["difference_pairs"] = _PairMasks(group)
+    return cached
 
 
 def _inf_block_candidates(group: CayleyGroup) -> list:
@@ -115,6 +177,9 @@ def _inf_block_candidates(group: CayleyGroup) -> list:
 
 
 class _Searcher:
+    """The DFS holds every set of differences as a Python int bitmask (bit d:
+    difference d), from the uncovered set down to a block's own differences."""
+
     def __init__(self, group: CayleyGroup, mode: Mode, budget: SearchBudget,
                  stats: SearchStats, canonical_transforms=None):
         self.group = group
@@ -123,15 +188,16 @@ class _Searcher:
         self.budget = _Budget(budget, stats)
         self.canonical_transforms = canonical_transforms
         self.table = group.table
-        self.quotients = group.table[group.inverses].tolist()  # [a][b] = a^-1 b
         x = np.arange(group.order)
-        self.is_involution = (group.inverses == x) & (x != group.identity)
-        self.stabilized = _stabilized_candidates(group) if mode is Mode.TRANSITIVE else []
+        self.is_involution = ((group.inverses == x) & (x != group.identity)).tolist()
+        self.pairs = _difference_pairs(group)
+        self.by_delta = (_candidates_by_delta(group) if mode is Mode.TRANSITIVE
+                         else [()] * group.order)
 
     # ------------------------------------------------------------------
     def run(self, fixed_blocks_idx: list, uncovered: np.ndarray, need_inf: bool):
         """Yield completed families (index blocks); generator-based DFS."""
-        yield from self._extend(fixed_blocks_idx, [], uncovered, need_inf)
+        yield from self._extend(fixed_blocks_idx, [], _masks(uncovered[None])[0], need_inf)
 
     def _emit(self, fixed, chosen):
         return [list(b) for b in fixed] + [list(b) for b in chosen]
@@ -141,35 +207,33 @@ class _Searcher:
             return
         if need_inf:
             # the ∞-block is forced up to the choice of the order-5 subgroup
+            e = self.group.identity
             for h in _inf_block_candidates(self.group):
                 if not self.budget.tick():
                     return
-                cov = np.zeros(self.group.order, dtype=bool)
-                cov[list(h)] = True
-                cov[self.group.identity] = False
-                if (cov & ~uncovered).any():
+                covered = sum(1 << x for x in h if x != e)
+                if covered & ~uncovered:
                     continue
-                chosen.append(tuple(sorted(h)) + (-1,))  # -1 marks ∞
-                yield from self._extend(fixed, chosen, uncovered & ~cov, False)
+                chosen.append(h + (-1,))  # -1 marks ∞
+                yield from self._extend(fixed, chosen, uncovered & ~covered, False)
                 chosen.pop()
                 if self.stats.budget_hit:
                     return
             return
-        if not uncovered.any():
+        if not uncovered:
             self.stats.solutions += 1
             yield self._emit(fixed, chosen)
             return
-        delta = int(np.nonzero(uncovered)[0][0])
+        delta = (uncovered & -uncovered).bit_length() - 1  # the least uncovered
+        busy = ~uncovered
         # stabilized candidates (transitive mode): precomputed coset unions
-        for cand in self.stabilized:
-            if not cand.covered[delta]:
-                continue
-            if (cand.covered & ~uncovered).any():
+        for covered, block in self.by_delta[delta]:
+            if covered & busy:
                 continue
             if not self.budget.tick():
                 return
-            chosen.append(cand.block)
-            yield from self._extend(fixed, chosen, uncovered & ~cand.covered, False)
+            chosen.append(block)
+            yield from self._extend(fixed, chosen, uncovered & ~covered, False)
             chosen.pop()
             if self.stats.budget_hit:
                 return
@@ -193,22 +257,22 @@ class _Searcher:
         """
         n = self.group.order
         e = self.group.identity
-        quo = self.quotients
-        free = set(np.flatnonzero(uncovered).tolist()) - {e}
+        pair_table = self.pairs
 
-        def fitting(cands, last, taken):
+        def fitting(cands, last, taken, free):
             """(x, differences of x with the members) for the candidates that
             fit; cands hold each x with its differences with the members
             before last, and taken holds last's own differences."""
+            pairs = pair_table[last]
+            busy = ~free
             out = []
             for x, ds in cands:
-                p, q = quo[last][x], quo[x][last]
-                if (p != q and p in free and q in free and p not in ds and q not in ds
-                        and ds.isdisjoint(taken)):
-                    out.append((x, ds | {p, q}))
+                pq = pairs[x]
+                if pq and not (pq & (busy | ds) or ds & taken):
+                    out.append((x, ds | pq))
             return out
 
-        def rec(members, start, cands, taken):
+        def rec(members, start, cands, taken, free):
             if self.stats.budget_hit or not self.budget.solutions_left():
                 return
             if len(members) == BLOCK_SIZE:
@@ -217,35 +281,31 @@ class _Searcher:
                         and not fixed and not chosen
                         and not self._first_block_canonical(block, delta)):
                     return
-                still = np.zeros(n, dtype=bool)
-                still[list(free)] = True
                 chosen.append(block)
-                yield from self._extend(fixed, chosen, still, False)
+                yield from self._extend(fixed, chosen, free, False)
                 chosen.pop()
                 return
-            fits = fitting(cands, members[-1], taken)
+            fits = fitting(cands, members[-1], taken, free)
             pos = start
             for i, (x, ds) in enumerate(fits):
                 if not self.budget.tick(x + 1 - pos - (pos <= e < x) - (pos <= delta < x)):
                     return
                 pos = x + 1
-                free.difference_update(ds)
                 members.append(x)
-                yield from rec(members, x + 1, fits[i + 1:], ds)
+                yield from rec(members, x + 1, fits[i + 1:], ds, free & ~ds)
                 members.pop()
-                free.update(ds)
                 if self.stats.budget_hit:
                     return
             rest = n - pos - (e >= pos) - (delta >= pos)
             if rest:
                 self.budget.tick(rest)
 
-        cands = fitting([(x, set()) for x in range(1, n)], e, set())
+        free = uncovered & ~(1 << e)
+        cands = fitting([(x, 0) for x in range(1, n)], e, 0, free)
         seed = [ds for x, ds in cands if x == delta]
         if not seed:
             return
-        free.difference_update(seed[0])
-        yield from rec([e, delta], 1, cands, seed[0])
+        yield from rec([e, delta], 1, cands, seed[0], free & ~seed[0])
 
     def _first_block_canonical(self, block, delta) -> bool:
         """Is the block lexicographically minimal among its images under the

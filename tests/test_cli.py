@@ -1,6 +1,7 @@
 """Command-line interface: commands, formats, exit codes."""
 
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -140,6 +141,23 @@ def test_search_budget_exhausted_exit_4(capsys, tmp_path):
                          "--mode", "one-rotational", "--max-nodes", "1000")
     assert code == 4
     assert "budget_hit=True" in err
+
+
+def test_search_summary_line_reports_seconds_and_rate(capsys, tmp_path):
+    spec = tmp_path / "group.json"
+    spec.write_text(json.dumps({"cyclic": 125}))
+    code, _, err = run(capsys, "search", "--group", str(spec),
+                       "--mode", "one-rotational", "--max-nodes", "20000")
+    assert code == 4
+    line = err.splitlines()[-1]
+    m = re.fullmatch(r"(\d+) families, (\d+) nodes, budget_hit=True, "
+                     r"(\d+\.\d{3}) s, (\d+) nodes/s", line)
+    assert m, line
+    nodes, seconds, rate = int(m[2]), float(m[3]), int(m[4])
+    assert (int(m[1]), nodes) == (0, 20000)
+    # seconds is rounded to 1 ms and the rate to 1 node/s
+    assert nodes / (seconds + 5e-4) - 1 <= rate
+    assert seconds < 5e-4 or rate <= nodes / (seconds - 5e-4) + 1
 
 
 def search_with_group_file(capsys, path):

@@ -13,10 +13,12 @@ from unitals.designs import (
     Mode,
     develop,
     develop_blocks,
+    first_rows,
     is_block_invariant,
     line_through,
     maps_blocks,
     relabel,
+    resolve_family,
     translation_permutation,
     verify_steiner,
 )
@@ -247,3 +249,28 @@ def test_ragged_design_relabels_and_maps_like_tuples():
         image = sorted(tuple(sorted(int(q[p]) for p in b)) for b in d.blocks)
         assert maps_blocks(d, copy, q) == (image == list(copy.blocks))
     assert all(is_block_invariant(d, row) for row in d.action)
+
+
+LIST_HEADS = [f"{name}-1" for name in ("ex1", "ex2", "ex3", "ex4", "ex5", "sg126-1", "sg126-2",
+                                       "sg126-3", "sg126-7", "sg126-8", "sg126-10", "sg126-12")]
+
+
+def _assert_first_rows_match_unique(rows):
+    first = first_rows(rows)
+    unique, index = np.unique(rows, axis=0, return_index=True)
+    assert np.array_equal(rows[first], unique)
+    assert np.array_equal(first, index)  # the first of equal rows
+
+
+@pytest.mark.parametrize("name", LIST_HEADS + ["shrunk", "duplicates", "ragged"])
+def test_first_rows_agrees_with_numpy_unique(name):
+    rng = np.random.default_rng(5)
+    if name in LIST_HEADS:
+        e, d = entry(name), design_of(name)
+        base = resolve_family(e.group(), e.family())
+        rows = np.concatenate([np.sort(d.action[:, b], axis=1) for b in base])
+        assert np.array_equal(d.block_rows, np.unique(rows, axis=0))
+    else:
+        rows = _malformed_designs()[name][0].block_rows
+    _assert_first_rows_match_unique(rows)
+    _assert_first_rows_match_unique(rows[rng.permutation(len(rows))])

@@ -1,9 +1,11 @@
 """Difference-family search: completion, budgets, canonical pruning."""
 
+import dataclasses
+
 import pytest
 
 from conftest import emit_ex1_1, entry
-from unitals import isomorph
+from unitals import catalog, isomorph, search
 from unitals.designs import Mode, develop, verify_steiner
 from unitals.difference import check_difference_family
 from unitals.errors import InconsistentPartial, ModeOrderMismatch, UnsupportedCanonicalization
@@ -187,6 +189,82 @@ def test_transitive_completion_pinned(entry_id, removed):
                            stats)
     assert (stats.nodes, stats.solutions) == (first_nodes, 1)
     assert [f.base_blocks for f in fams] == completions[:1]
+
+
+@pytest.mark.parametrize("entry_id, removed", list(PINNED_COMPLETIONS))
+def test_completion_pins_hold_on_searched_and_fresh_groups(entry_id, removed, monkeypatch):
+    nodes, solutions, _, completions = PINNED_COMPLETIONS[entry_id, removed]
+    e = entry(entry_id)
+    searched = e.group()
+    complete_family(searched, PartialFamily(Mode.TRANSITIVE, e.base_blocks))  # fills the cache
+    assert "candidates_by_delta" in searched._cache
+    monkeypatch.setattr(catalog, "_group_cache", {})
+    fresh = e.group()
+    assert fresh is not searched and not fresh._cache
+    partial = PartialFamily(Mode.TRANSITIVE,
+                            [b for i, b in enumerate(e.base_blocks) if i != removed])
+    for g in (searched, fresh):
+        stats = SearchStats()
+        fams = complete_family(g, partial, SearchBudget(max_nodes=200_000), stats)
+        assert (stats.nodes, stats.solutions, stats.budget_hit) == (nodes, solutions, False)
+        assert [f.base_blocks for f in fams] == completions
+
+
+def test_stabilized_candidates_built_once_per_group(monkeypatch):
+    g = entry("sg126-10-1").group()
+    cands = _stabilized_candidates(g)
+
+    def no_build(*args):
+        raise AssertionError("search tables rebuilt")
+
+    monkeypatch.setattr(search, "subgroups_of_order", no_build)
+    monkeypatch.setattr(search, "block_differences", no_build)
+    assert _stabilized_candidates(g) is cands
+    e = entry("sg126-10-5")
+    assert complete_family(g, PartialFamily(Mode.TRANSITIVE, e.base_blocks))
+
+
+def test_searched_group_still_equals_its_copy():
+    e = entry("sg126-12-41")
+    g = dataclasses.replace(e.group())  # shares the table, not the cache
+    copy = dataclasses.replace(g)
+    complete_family(g, PartialFamily(Mode.TRANSITIVE, e.base_blocks))
+    assert g._cache and not copy._cache
+    assert g == copy
+
+
+# Recorded before the search held difference sets as int bitmasks: the
+# ∞-block loop tries one node per order-5 subgroup (1 in Z_125, 6 in
+# Z_5 x Z_25, 31 in ex3's group), and sg126-3-1 with 169 nodes is cut inside
+# the stabilized-candidate loop, after two completions.
+PINNED_MASK_BRANCHES = [
+    # entry, removed blocks, max_nodes: nodes, budget_hit, blocks found per family
+    ("ex1-1", [4], 10**6, 1, False, [[[0, 25, 50, 75, 100, INF]]]),
+    ("ex2-1", [2], 10**6, 6, False, [[[(0, 0), (0, 5), (0, 10), (0, 15), (0, 20), INF]]]),
+    ("ex3-1", [2], 10**6, 31, False,
+     [[[((0, 0), 0), ((0, 1), 0), ((0, 2), 0), ((0, 3), 0), ((0, 4), 0), INF]]]),
+    ("ex2-1", [0, 2], 10**6, 1507, False, [
+        [[(0, 0), (0, 5), (0, 10), (0, 15), (0, 20), INF],
+         [(0, 0), (0, 1), (0, 3), (1, 0), (2, 13), (3, 6)]],
+        [[(0, 0), (0, 5), (0, 10), (0, 15), (0, 20), INF],
+         [(0, 0), (0, 1), (0, 23), (2, 20), (3, 13), (4, 1)]]]),
+    ("sg126-3-1", [1, 2], 169, 169, True, [
+        [[0, 2, 3, 61, 96, 98], [0, 5, 17, 24, 55, 86]],
+        [[0, 2, 3, 61, 96, 98], [0, 18, 46, 59, 81, 106]]]),
+]
+
+
+@pytest.mark.parametrize("entry_id, removed, max_nodes, nodes, hit, found",
+                         PINNED_MASK_BRANCHES)
+def test_mask_branches_pinned(entry_id, removed, max_nodes, nodes, hit, found):
+    e = entry(entry_id)
+    kept = [b for i, b in enumerate(e.base_blocks) if i not in removed]
+    stats = SearchStats()
+    fams = complete_family(e.group(), PartialFamily(e.mode, kept),
+                           SearchBudget(max_nodes=max_nodes), stats)
+    assert (stats.nodes, stats.budget_hit) == (nodes, hit)
+    assert [f.base_blocks[:len(kept)] for f in fams] == [kept] * len(found)
+    assert [f.base_blocks[len(kept):] for f in fams] == found
 
 
 @pytest.mark.parametrize("entry_id, count, head, last", [
