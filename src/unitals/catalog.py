@@ -263,7 +263,7 @@ class ReproductionRecord:
         return self.steiner_ok and self.fingerprint_match
 
 
-def reproduce(entry: CatalogEntry, check_fingerprint: bool = True) -> ReproductionRecord:
+def reproduce(entry: CatalogEntry) -> ReproductionRecord:
     """develop -> verify -> fingerprint -> compare against the transcription."""
     t0 = time.perf_counter()
     group = entry.group()
@@ -271,7 +271,7 @@ def reproduce(entry: CatalogEntry, check_fingerprint: bool = True) -> Reproducti
     steiner_ok = verify_steiner(design).is_steiner
     computed = None
     match = False
-    if steiner_ok and check_fingerprint:
+    if steiner_ok:
         computed = fingerprint(design)
         match = computed == entry.expected()
     return ReproductionRecord(entry.id, steiner_ok, match, computed,

@@ -74,6 +74,20 @@ def difference_coverage(group: CayleyGroup, family: DifferenceFamily) -> Differe
     return DifferenceCoverage(counts, per_block)
 
 
+def quotiented_coverage(group: CayleyGroup, family: DifferenceFamily) -> tuple:
+    """(per_block, quotiented, undivided): per_block as in difference_coverage,
+    quotiented[d] the number of distinct translates covering difference d, or
+    None with undivided the first (finite part, stabilizer order) whose counts
+    that order does not divide."""
+    per_block = difference_coverage(group, family).per_block
+    quotiented = np.zeros(group.order, dtype=np.int64)
+    for finite, stab, block_counts in per_block:
+        if (block_counts % stab != 0).any():
+            return per_block, None, (finite, stab)
+        quotiented += block_counts // stab
+    return per_block, quotiented, None
+
+
 @dataclass
 class DifferenceCheck:
     ok: bool
@@ -91,20 +105,16 @@ def check_difference_family(group: CayleyGroup, family: DifferenceFamily) -> Dif
     1-rotational mode the distinct translates of the ∞-blocks' finite parts
     must additionally partition the group (pairs {x, ∞}).
     """
-    per_block = difference_coverage(group, family).per_block
+    per_block, quotiented, undivided = quotiented_coverage(group, family)
     if not per_block:
         return DifferenceCheck(False, ["empty family covers nothing"])
+    if undivided is not None:
+        finite, stab = undivided
+        return DifferenceCheck(False, [
+            f"block {finite}: difference counts not divisible by stabilizer {stab}"])
 
     n = group.order
     defects = []
-    quotiented = np.zeros(n, dtype=np.int64)
-    for finite, stab, block_counts in per_block:
-        if (block_counts % stab != 0).any():
-            defects.append(
-                f"block {finite}: difference counts not divisible by stabilizer {stab}")
-            return DifferenceCheck(False, defects)
-        quotiented += block_counts // stab
-
     expected = np.ones(n, dtype=np.int64)
     expected[group.identity] = 0
     for d in np.nonzero(quotiented != expected)[0]:

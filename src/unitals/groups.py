@@ -172,15 +172,15 @@ class External:
 GroupSpec = Union[Cyclic, Product, Semidirect, External]
 
 
-def spec_from_json(obj, base_dir: Path | None = None) -> GroupSpec:
+def spec_from_json(obj) -> GroupSpec:
     """Decode the catalog JSON group grammar; any malformed input is a ParseError."""
     try:
-        return _spec_from_json(obj, base_dir)
+        return _spec_from_json(obj)
     except (ValueError, KeyError, TypeError) as exc:
         raise ParseError(f"bad group spec {obj!r}: {exc!r}") from None
 
 
-def _spec_from_json(obj, base_dir: Path | None) -> GroupSpec:
+def _spec_from_json(obj) -> GroupSpec:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ParseError(f"bad group spec: {obj!r}")
     (kind, val), = obj.items()
@@ -188,21 +188,18 @@ def _spec_from_json(obj, base_dir: Path | None) -> GroupSpec:
         return Cyclic(int(val))
     if kind == "product":
         left, right = val
-        return Product(spec_from_json(left, base_dir), spec_from_json(right, base_dir))
+        return Product(spec_from_json(left), spec_from_json(right))
     if kind == "semidirect":
         action = tuple(
             (label_from_json(g), label_from_json(im)) for g, im in val["action"]
         )
         return Semidirect(
-            spec_from_json(val["normal"], base_dir),
-            spec_from_json(val["actor"], base_dir),
+            spec_from_json(val["normal"]),
+            spec_from_json(val["actor"]),
             action,
         )
     if kind == "external":
-        path = str(val)
-        if base_dir is not None and not Path(path).is_absolute():
-            path = str(base_dir / path)
-        return External(path)
+        return External(str(val))
     raise ParseError(f"unknown group spec kind {kind!r}")
 
 
@@ -237,7 +234,12 @@ class CayleyGroup:
     labels: tuple  # length-n tuple of ElementLabel
     index: dict = field(repr=False)  # label -> element index
     #: tables derived from the Cayley table on first use (the search's candidates)
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __eq__(self, other):  # inverses, index and _cache follow from these
+        return (isinstance(other, CayleyGroup) and self.order == other.order
+                and self.identity == other.identity and self.labels == other.labels
+                and bool(np.array_equal(self.table, other.table)))
 
     def mul(self, g: int, h: int) -> int:
         n = self.order

@@ -2,9 +2,12 @@
 
 All three run on the same machinery: an equitable-partition refinement whose
 cells are numbered canonically (by sorted signature content), seeded with the
-per-point fingerprint profiles, and an individualization backtracking search.
-Block degree is constant in a Steiner system, so the profile seed is what
-breaks the initial symmetry.
+per-point fingerprint profiles, and an individualization backtracking search
+that skips the orbits of done siblings under the automorphisms known to fix
+the current path.  Block degree is constant in a Steiner system, so the
+profile seed is what breaks the initial symmetry.  One traversal of the
+search tree gives both |Aut| and the canonical key (``_search``); the
+isomorphism decision maps one design onto the other with ``_map_search``.
 """
 
 from __future__ import annotations
@@ -229,62 +232,15 @@ class AutomorphismCount(NamedTuple):
 
 def automorphism_generators(design: Design,
                             time_budget_s: float = 600.0) -> tuple:
-    """(AutomorphismCount, generators) via an individualization chain.
+    """(AutomorphismCount, generators) from the individualization search.
 
-    |Aut| is the product of the base-point orbit sizes along the chain
-    (orbit-stabilizer); the generators found along the way generate the full
-    group.  The levels are filled from the deepest up, so at level i every
-    generator found so far that fixes base[:i] pointwise lies in the
-    stabilizer whose orbit of base[i] is counted: the orbit starts from
-    them, and a candidate that fails takes its whole orbit under them along.
-    Level 0 starts from the verified developing translations.  If the budget
-    runs out, the product collected so far is returned as a lower bound with
-    complete=False.
+    If the budget runs out, the order counted so far is returned as a lower
+    bound with complete=False, and nothing is cached.
     """
     cached = design._cache.get("aut_group")
     if cached is not None:
         return cached
-    deadline = time.monotonic() + time_budget_s
-    n = design.n_points
-    chain = [(initial_partition(design), None)]  # (partition, trace) per level
-    base: list = []
-    while not chain[-1][0].is_discrete():
-        partition = chain[-1][0]
-        t = _target_cell(partition)
-        base.append(int(np.nonzero(partition.cell_ids == t)[0][0]))
-        chain.append(_refine(design, _individualize(partition, base[-1])))
-
-    gens = _translation_seeds(design)
-    order = 1
-    try:
-        for i in reversed(range(len(base))):
-            _check_deadline(deadline)
-            partition, (rb, trb) = chain[i][0], chain[i + 1]
-            fixed = tuple(base[:i])
-            orbit = _orbit_under_stabilizer(base[i], fixed, gens, n)
-            failed = np.zeros(n, dtype=bool)
-            cell = partition.cell_ids == partition.cell_ids[base[i]]
-            for c in np.nonzero(cell)[0].tolist():
-                if orbit[c] or failed[c]:
-                    continue
-                rc, trc = _refine(design, _individualize(partition, c))
-                mapping = None
-                if _compatible(rb, trb, rc, trc):
-                    mapping = _map_search(design, design, rb, rc, deadline,
-                                          gens, fixed + (c,))
-                if mapping is None:
-                    failed |= _orbit_under_stabilizer(c, fixed, gens, n)
-                    continue
-                if not is_block_invariant(design, mapping):
-                    raise AssertionError("invalid automorphism witness")
-                gens.append(mapping)
-                orbit = _orbit_under_stabilizer(base[i], fixed, gens, n)
-            order *= int(orbit.sum())
-    except TimeoutError:
-        return AutomorphismCount(order, False), gens
-    result = (AutomorphismCount(order, True), gens)
-    design._cache["aut_group"] = result
-    return result
+    return _search(design, time.monotonic() + time_budget_s)[0]
 
 
 def _translation_seeds(design: Design) -> list:
@@ -318,74 +274,102 @@ def automorphism_order(design: Design, time_budget_s: float = 600.0) -> Automorp
 def canonical_key(design: Design, time_budget_s: float = 600.0) -> bytes:
     """Byte string equal for two designs exactly when they are isomorphic.
 
-    One deadline covers the automorphism group the search prunes by and the
-    search itself; when it runs out, TimeoutError is raised and nothing is
-    cached.
+    When the budget runs out, TimeoutError is raised and nothing is cached.
     """
     cached = design._cache.get("canonical_key")
-    if cached is not None:
-        return cached
-    deadline = time.monotonic() + time_budget_s
-    partition = initial_partition(design)
-    fp = fingerprint(design)
+    if cached is None:
+        cached = _search(design, time.monotonic() + time_budget_s)[1]
+        if cached is None:
+            raise TimeoutError
+    return cached
 
+
+def _search(design: Design, deadline: float) -> tuple:
+    """((AutomorphismCount, generators), key or None) from one traversal of
+    the individualization tree (McKay & Piperno 2014); both results are
+    cached when it completes.
+
+    A child in the orbit of a done sibling, under the automorphisms found so
+    far that fix the path, is skipped.  A leaf equal to the first or the best
+    (smallest) leaf gives an automorphism; after one equal to the first, the
+    search returns to the nearest first-path node, since the rest of that
+    subtree is an image of one already searched.  A child is pruned by its
+    trace only if its prefix is above the best's and differs from the first
+    path's, so every image of the first leaf is found and |Aut| is the
+    product of the orbit sizes of the first path's children under the
+    generators fixing their parent's path.  Past the deadline that product
+    is a lower bound and the key is None.
+    """
     n = design.n_points
-    best: dict = {"inv": None, "blocks": None, "labeling": None}
-    # seeding with the full automorphism group makes sibling orbit pruning
-    # effective from the start (crucial for highly symmetric designs)
-    count, aut_gens = automorphism_generators(design, deadline - time.monotonic())
-    if not count.complete:
-        raise TimeoutError
-    aut_gens = list(aut_gens)
+    gens = _translation_seeds(design)
+    leaves: dict = {}  # "first" and "best": (trace path, block bytes, labeling)
+    order = 1
 
-    def leaf_blocks(p: OrderedPartition) -> bytes:
+    def leaf(partition: OrderedPartition, inv_path: tuple) -> bool:
         # discrete: cell index = new point name
-        image, keys = block_image(design, p.cell_ids)
-        return image[np.argsort(keys)].astype(np.int16).tobytes()
+        image, keys = block_image(design, partition.cell_ids)
+        cand = (inv_path, image[np.argsort(keys)].astype(np.int16).tobytes())
+        if not leaves:
+            leaves["first"] = leaves["best"] = cand + (partition.cell_ids,)
+            return False
+        for name in ("first", "best"):
+            inv, blocks, other = leaves[name]
+            if cand == (inv, blocks):
+                # two labelings with the same image: an automorphism
+                aut = np.empty(n, dtype=np.int64)
+                aut[np.argsort(partition.cell_ids)] = np.argsort(other)
+                if not is_block_invariant(design, aut):
+                    raise AssertionError("invalid automorphism witness")
+                gens.append(aut)
+                return name == "first"
+        if cand < leaves["best"][:2]:
+            leaves["best"] = cand + (partition.cell_ids,)
+        return False
 
-    def dfs(partition: OrderedPartition, inv_path: tuple, base: tuple):
+    def dfs(partition: OrderedPartition, inv_path: tuple, path: tuple,
+            on_first: bool) -> bool:
+        """True when a leaf below equals the first and the search returns
+        to the nearest first-path node."""
+        nonlocal order
         _check_deadline(deadline)
         if partition.is_discrete():
-            key_blocks = leaf_blocks(partition)
-            cand = (inv_path, key_blocks)
-            cur = (best["inv"], best["blocks"])
-            if best["inv"] is None or cand < cur:
-                best["inv"], best["blocks"] = cand
-                best["labeling"] = partition.cell_ids.copy()
-            elif cand == cur:
-                # two labelings with the same canonical image: an automorphism
-                other = best["labeling"]
-                aut = np.empty(len(other), dtype=np.int64)
-                aut[np.argsort(partition.cell_ids)] = np.argsort(other)
-                if not np.array_equal(aut, np.arange(len(aut))):
-                    aut_gens.append(aut)
-            return
+            return leaf(partition, inv_path)
         t = _target_cell(partition)
+        cell = np.nonzero(partition.cell_ids == t)[0].tolist()
         done: list = []
         known = -1  # how many automorphisms the orbits in seen were built from
-        for v in np.nonzero(partition.cell_ids == t)[0].tolist():
-            # orbits under the automorphisms found so far (fixing the base)
-            if len(aut_gens) != known:
-                known = len(aut_gens)
-                seen = _orbit_under_stabilizer(done, base, aut_gens, n)
+        for v in cell:
+            if len(gens) != known:
+                known = len(gens)
+                seen = _orbit_under_stabilizer(done, path, gens, n)
             if seen[v]:
                 continue
             done.append(v)
-            seen |= _orbit_under_stabilizer(v, base, aut_gens, n)
+            seen |= _orbit_under_stabilizer(v, path, gens, n)
             refined, trace = _refine(design, _individualize(partition, v))
             child_inv = inv_path + (trace,)
-            if best["inv"] is not None:
-                prefix = best["inv"][:len(child_inv)]
-                if child_inv > prefix:
-                    continue  # every leaf below is lexicographically worse
-            dfs(refined, child_inv, base + (v,))
+            if leaves:
+                depth = len(child_inv)
+                if (child_inv > leaves["best"][0][:depth]
+                        and child_inv != leaves["first"][0][:depth]):
+                    continue  # no leaf below is the best or equals the first
+            if dfs(refined, child_inv, path + (v,), on_first and v == cell[0]) and not on_first:
+                return True
+        if on_first:
+            order *= int(_orbit_under_stabilizer(cell[0], path, gens, n).sum())
+        return False
 
-    dfs(partition, (), ())
-    del dfs  # the recursive closure would keep the design in a reference cycle
-    key = repr((fp.items, best["inv"])).encode() + b"|" + best["blocks"]
-    digest = hashlib.sha256(key).hexdigest().encode()
-    design._cache["canonical_key"] = digest
-    return digest
+    try:
+        dfs(initial_partition(design), (), (), True)
+    except TimeoutError:
+        return (AutomorphismCount(order, False), gens), None
+    finally:
+        del dfs  # the recursive closure would keep the design in a reference cycle
+    aut_group = design._cache["aut_group"] = (AutomorphismCount(order, True), gens)
+    key = repr((fingerprint(design).items, leaves["best"][0])).encode()
+    key = hashlib.sha256(key + b"|" + leaves["best"][1]).hexdigest().encode()
+    design._cache["canonical_key"] = key
+    return aut_group, key
 
 
 def _orbit_under_stabilizer(points, base: tuple, aut_gens: list, n: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import BLOCK_SIZE, DifferenceFamily, Mode, first_rows, resolve_family
-from .difference import block_differences, check_difference_family, difference_coverage
+from .difference import block_differences, check_difference_family, quotiented_coverage
 from .errors import InconsistentPartial, UnsupportedCanonicalization
 from .groups import INF, CayleyGroup, subgroups_of_order
 
@@ -327,12 +327,9 @@ class _Searcher:
 def _fixed_state(group: CayleyGroup, partial: PartialFamily):
     """(index blocks, uncovered array, need_inf) from the fixed blocks."""
     family = DifferenceFamily(partial.mode, partial.fixed_blocks)
-    per_block = difference_coverage(group, family).per_block  # checks mode vs order
-    quotiented = np.zeros(group.order, dtype=np.int64)
-    for _, stab, counts in per_block:
-        if (counts % stab != 0).any():
-            raise InconsistentPartial("difference counts not divisible by stabilizer")
-        quotiented += counts // stab
+    per_block, quotiented, undivided = quotiented_coverage(group, family)  # checks mode vs order
+    if undivided is not None:
+        raise InconsistentPartial("difference counts not divisible by stabilizer")
     if quotiented.max() > 1:
         over = int(np.nonzero(quotiented > 1)[0][0])
         raise InconsistentPartial(
@@ -374,12 +371,11 @@ def complete_family(group: CayleyGroup, partial: PartialFamily,
 
 
 def multiplier_generators(group: CayleyGroup) -> list:
-    """Default canonical-pruning automorphisms: multipliers of a cyclic group.
+    """Canonical-pruning automorphisms: multipliers of a cyclic group.
 
     For cyclic groups (integer labels 0..n-1) the maps x -> u x over a set of
     units generating (Z/n)* give the full automorphism group.  For other
-    abelian groups the default is empty (translation-only normalization);
-    callers may supply their own generator permutations.
+    abelian groups there are none (translation-only normalization).
     """
     import math
 
@@ -428,17 +424,14 @@ def _closure_of_perms(gens: list, n: int) -> list:
 def search_families(group: CayleyGroup, mode: Mode | str,
                     budget: SearchBudget | None = None,
                     canonicalize: bool = True,
-                    aut_generators: list | None = None,
                     stats: SearchStats | None = None):
     """Yield difference families over the group; exhaustive within budget.
 
     With canonicalize, the first base block is normalized to be
-    lexicographically minimal under translations and the automorphism group
-    generated by aut_generators (default: the multiplier group for cyclic
-    groups), and families developing to designs with an already-seen
-    canonical key are suppressed.  Canonical keys count against
-    time_limit_s: when it runs out during one, the search stops with
-    budget_hit set.
+    lexicographically minimal under translations and multiplier_generators,
+    and families developing to designs with an already-seen canonical key are
+    suppressed.  Canonical keys count against time_limit_s: when it runs out
+    during one, the search stops with budget_hit set.
     """
     mode = Mode(mode)
     budget = budget or SearchBudget()
@@ -446,9 +439,8 @@ def search_families(group: CayleyGroup, mode: Mode | str,
     _, uncovered, need_inf = _fixed_state(group, PartialFamily(mode, []))
     transforms = None
     if canonicalize:
-        if aut_generators is None:
-            aut_generators = multiplier_generators(group)  # raises if non-abelian
-        transforms = _closure_of_perms(aut_generators, group.order)
+        gens = multiplier_generators(group)  # raises if non-abelian
+        transforms = _closure_of_perms(gens, group.order)
     searcher = _Searcher(group, mode, budget, stats, canonical_transforms=transforms)
     seen_keys = set()
     for idx_blocks in searcher.run([], uncovered, need_inf):

@@ -35,7 +35,7 @@ from unitals.fingerprint import (
     fingerprint_reference,
     format_fingerprint,
 )
-from unitals.groups import INF, build_group, validate_table
+from unitals.groups import INF, build_group, subgroup_closure, validate_table
 from unitals.isomorph import are_isomorphic, automorphism_order
 from unitals.search import PartialFamily, SearchBudget, SearchStats, complete_family
 
@@ -181,7 +181,17 @@ def test_criterion_6_automorphism_divisibility(reproduced):
         divisor = 125 if one_rot else 126
         if not count.complete or count.order % divisor != 0:
             bad.append((eid, count.order))
+        # g -> (x -> g*x) is a homomorphism, so the translations by a
+        # generating set of G generate all translations, and a group
+        # generated by automorphisms consists of automorphisms
+        gens, closure = [], {group.identity}
         for g in range(group.order):
+            if g not in closure:
+                gens.append(g)
+                closure = subgroup_closure(group, gens)
+        if closure != frozenset(range(group.order)):
+            bad.append((eid, f"translations by {gens} do not generate G"))
+        for g in gens:
             perm = translation_permutation(group, g, one_rot)
             if not is_block_invariant(design, perm):
                 bad.append((eid, f"translation {g} not an automorphism"))

@@ -55,6 +55,15 @@ def test_cyclic_table():
     assert g.identity == 0
 
 
+def test_separately_built_groups_compare_by_table():
+    a, b = build_group(Cyclic(6)), build_group(Cyclic(6))
+    assert a.table is not b.table
+    a._cache["filled"] = True  # derived tables take no part
+    assert a == b
+    assert a != build_group(Cyclic(7))
+    assert a != build_group(Product(Cyclic(2), Cyclic(3)))  # same table size, other labels
+
+
 def test_semidirect_z25_z5_product_rule():
     g = build_group(Z25_X_Z5)
     assert g.labels[g.mul(g.resolve((0, 1)), g.resolve((1, 0)))] == (6, 1)

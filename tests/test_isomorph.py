@@ -265,8 +265,38 @@ def test_canonical_key_zero_budget_raises_and_caches_nothing():
     with pytest.raises(TimeoutError):
         canonical_key(d, time_budget_s=0.0)
     assert "canonical_key" not in d._cache
-    automorphism_generators(d)  # with the group cached, the key search is cut too
-    with pytest.raises(TimeoutError):
-        canonical_key(d, time_budget_s=0.0)
-    assert "canonical_key" not in d._cache
     assert canonical_key(d) == CLASSICAL_KEY
+    # one complete search caches both results
+    assert d._cache["aut_group"][0] == (756000, True)
+
+
+def _refine_raises(*args):
+    raise AssertionError("searched again")
+
+
+@pytest.mark.parametrize("first", [canonical_key, automorphism_generators],
+                         ids=["key-first", "aut-first"])
+def test_one_search_caches_both_results(monkeypatch, first):
+    d = fresh_design("ex2-1")
+    first(d)
+    monkeypatch.setattr(isomorph, "_refine", _refine_raises)
+    assert automorphism_generators(d)[0] == (125, True)
+    assert canonical_key(d) == PINNED["ex2-1"][1].encode()
+
+
+def test_search_cut_by_its_deadline_caches_neither(monkeypatch):
+    d = fresh_design("ex3-1")
+    checks = []
+
+    def deadline_passes_mid_search(deadline):
+        checks.append(deadline)
+        if len(checks) > 50:
+            raise TimeoutError
+
+    monkeypatch.setattr(isomorph, "_check_deadline", deadline_passes_mid_search)
+    count = automorphism_order(d)
+    assert not count.complete and 1 < count.order < 756000
+    assert 756000 % count.order == 0  # the stabilizer of a first-path prefix
+    assert "aut_group" not in d._cache and "canonical_key" not in d._cache
+    monkeypatch.undo()
+    assert automorphism_order(d) == (756000, True)
