@@ -72,7 +72,7 @@ class CatalogEntry:
         return [[int(lab) for lab in b] for b in self.base_blocks]
 
     def group(self) -> CayleyGroup:
-        return _build_entry_group(self.group_spec, self.path)
+        return build_spec_group(self.group_spec, self.path)
 
 
 def data_dir() -> Path:
@@ -81,10 +81,6 @@ def data_dir() -> Path:
 
 def catalog_dir() -> Path:
     return data_dir() / "catalog"
-
-
-def tables_dir() -> Path:
-    return data_dir() / "tables"
 
 
 def load_entry(path: str | Path) -> CatalogEntry:
@@ -194,10 +190,6 @@ def iter_entry_paths(filter_glob: str | None = None) -> list:
     return sorted(paths, key=lambda p: _entry_sort_key(p.stem))
 
 
-def load_entries(filter_glob: str | None = None) -> list:
-    return [load_entry(p) for p in iter_entry_paths(filter_glob)]
-
-
 def required_entry_ids() -> list:
     ids = []
     for key, size in REQUIRED_LIST_SIZES.items():
@@ -218,29 +210,32 @@ def load_required_entries() -> list:
 _group_cache: dict = {}
 
 
-def _build_entry_group(spec: GroupSpec, entry_path: Path | None) -> CayleyGroup:
-    """The entry's group, built once per spec; an external table is keyed by
-    its path as written and the entry's directory, so a hit reads no file."""
+def build_spec_group(spec: GroupSpec, spec_path: Path | None) -> CayleyGroup:
+    """The group of a spec read from the file spec_path (an entry or a bare
+    spec), built once per spec.  An external table is looked up in spec_path's
+    directory, then in the package data directory, then in the working
+    directory; it is keyed by its path as written and spec_path's directory,
+    so a hit reads no file."""
     if isinstance(spec, External):
-        key = ("external", spec.path, entry_path.parent if entry_path else None)
+        key = ("external", spec.path, spec_path.parent if spec_path else None)
     else:
         key = ("spec", spec)
     cached = _group_cache.get(key)
     if cached is not None:
         return cached
     if isinstance(spec, External):
-        spec = External(str(_resolve_table_path(spec.path, entry_path)))
+        spec = External(str(_resolve_table_path(spec.path, spec_path)))
     group = _group_cache[key] = build_group(spec)
     return group
 
 
-def _resolve_table_path(raw: str, entry_path: Path | None) -> Path:
+def _resolve_table_path(raw: str, spec_path: Path | None) -> Path:
     p = Path(raw)
     if p.is_absolute() and p.exists():
         return p
     candidates = []
-    if entry_path is not None:
-        candidates.append(entry_path.parent / p)
+    if spec_path is not None:
+        candidates.append(spec_path.parent / p)
     candidates.append(data_dir() / p)
     candidates.append(p)
     for c in candidates:

@@ -19,7 +19,7 @@ from . import catalog as cat
 from .designs import Mode, develop, verify_steiner
 from .errors import ParseError, UnitalsError
 from .fingerprint import fingerprint, format_fingerprint
-from .groups import build_group, load_cayley_table, spec_from_json
+from .groups import load_cayley_table, spec_from_json
 from .isomorph import are_isomorphic, automorphism_order
 from .search import SearchBudget, SearchStats, search_families
 
@@ -31,11 +31,11 @@ EXIT_BUDGET = 4
 
 
 def _positive(kind):
-    """argparse type for a budget: a number of ``kind`` above 0."""
+    """argparse type for a budget or a thread count: a number of ``kind`` above 0."""
     def parse(text: str):
         value = kind(text)  # argparse reports a ValueError as "invalid <kind> value"
         if not value > 0:
-            raise argparse.ArgumentTypeError(f"budget must be positive, got {text}")
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
         return value
 
     parse.__name__ = kind.__name__
@@ -75,7 +75,7 @@ def _parser() -> argparse.ArgumentParser:
     cp.add_argument("--filter", default=None, help="id glob, e.g. 'ex1-*'")
     cp.add_argument("--required", action="store_true",
                     help="only the fully transcribed required lists")
-    cp.add_argument("--threads", type=int, default=1)
+    cp.add_argument("--threads", type=_positive(int), default=1)
     cp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("search", help="bounded difference-family search")
@@ -95,12 +95,8 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load(path: Path) -> cat.CatalogEntry:
-    return cat.load_entry(path)
-
-
 def _cmd_verify(args) -> int:
-    entry = _load(args.family)
+    entry = cat.load_entry(args.family)
     design = develop(entry.group(), entry.family())
     report = verify_steiner(design)
     if args.json:
@@ -119,7 +115,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_fingerprint(args) -> int:
-    entry = _load(args.family)
+    entry = cat.load_entry(args.family)
     design = develop(entry.group(), entry.family())
     if not verify_steiner(design).is_steiner:
         print("design does not verify as S(2,6,126)", file=sys.stderr)
@@ -134,7 +130,7 @@ def _cmd_fingerprint(args) -> int:
 
 
 def _cmd_develop(args) -> int:
-    entry = _load(args.family)
+    entry = cat.load_entry(args.family)
     design = develop(entry.group(), entry.family())
     with open(args.out, "w", encoding="utf-8") as fh:
         for i in range(design.block_count):
@@ -144,7 +140,7 @@ def _cmd_develop(args) -> int:
 
 
 def _cmd_iso(args) -> int:
-    ea, eb = _load(args.a), _load(args.b)
+    ea, eb = cat.load_entry(args.a), cat.load_entry(args.b)
     da = develop(ea.group(), ea.family())
     db = develop(eb.group(), eb.family())
     result = are_isomorphic(da, db)
@@ -164,7 +160,7 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_aut(args) -> int:
-    entry = _load(args.family)
+    entry = cat.load_entry(args.family)
     design = develop(entry.group(), entry.family())
     count = automorphism_order(design)
     if args.json:
@@ -190,14 +186,11 @@ def _cmd_catalog_check(args) -> int:
     if not entries:
         print("no entries match", file=sys.stderr)
         return EXIT_INPUT
-    records = cat.catalog_check(entries, threads=max(1, args.threads))
-    all_ok = True
+    records = cat.catalog_check(entries, threads=args.threads)
     for r in records:
-        ok = r.steiner_ok and r.fingerprint_match
-        all_ok &= ok
         if args.json:
             print(json.dumps({
-                "id": r.entry_id, "pass": ok, "steiner_ok": r.steiner_ok,
+                "id": r.entry_id, "pass": r.ok, "steiner_ok": r.steiner_ok,
                 "fingerprint_match": r.fingerprint_match,
                 "computed_fingerprint":
                     format_fingerprint(r.computed_fingerprint)
@@ -205,12 +198,12 @@ def _cmd_catalog_check(args) -> int:
                 "elapsed_s": round(r.elapsed_s, 3),
             }))
         else:
-            status = "PASS" if ok else "FAIL"
+            status = "PASS" if r.ok else "FAIL"
             print(f"{r.entry_id:>14}  {status}  steiner={r.steiner_ok} "
                   f"fingerprint={r.fingerprint_match}  {r.elapsed_s:.2f}s")
-    print(f"{sum(r.steiner_ok and r.fingerprint_match for r in records)}"
-          f"/{len(records)} entries pass", file=sys.stderr)
-    return EXIT_OK if all_ok else EXIT_MISMATCH
+    passed = sum(r.ok for r in records)
+    print(f"{passed}/{len(records)} entries pass", file=sys.stderr)
+    return EXIT_OK if passed == len(records) else EXIT_MISMATCH
 
 
 def _cmd_search(args) -> int:
@@ -219,7 +212,7 @@ def _cmd_search(args) -> int:
     except ValueError as exc:  # also undecodable bytes
         raise ParseError(f"{args.group}: not a JSON group spec: {exc}") from None
     spec = spec_from_json(obj)
-    group = build_group(spec)
+    group = cat.build_spec_group(spec, args.group)
     budget = SearchBudget(max_nodes=args.max_nodes,
                           max_solutions=args.max_solutions,
                           time_limit_s=args.time_limit)

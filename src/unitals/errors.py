@@ -67,7 +67,3 @@ class OrderingNotFound(UnitalsError):
 
 class InconsistentPartial(UnitalsError):
     """Partial family already over-covers a difference."""
-
-
-class UnsupportedCanonicalization(UnitalsError):
-    """Canonical pruning requested for a group it does not support."""

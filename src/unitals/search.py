@@ -12,6 +12,10 @@ the identity (translation normalization).  Three candidate kinds:
 
 The coset unions, indexed by the differences they cover, and the masks of the
 difference pairs are built once per group and kept in ``CayleyGroup._cache``.
+
+search_families canonicalizes by the canonical key alone: a family is dropped
+when its developed design has the key of one emitted before.  This works over
+every group.
 """
 
 from __future__ import annotations
@@ -22,9 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import BLOCK_SIZE, DifferenceFamily, Mode, first_rows, resolve_family
+from . import isomorph
+from .designs import BLOCK_SIZE, DifferenceFamily, Mode, develop, first_rows, resolve_family
 from .difference import block_differences, check_difference_family, quotiented_coverage
-from .errors import InconsistentPartial, UnsupportedCanonicalization
+from .errors import InconsistentPartial
 from .groups import INF, CayleyGroup, subgroups_of_order
 
 
@@ -44,10 +49,6 @@ class SearchStats:
     nodes: int = 0
     solutions: int = 0
     budget_hit: bool = False
-
-    @property
-    def exhausted(self) -> bool:
-        return not self.budget_hit
 
 
 @dataclass
@@ -177,27 +178,36 @@ def _inf_block_candidates(group: CayleyGroup) -> list:
 
 
 class _Searcher:
-    """The DFS holds every set of differences as a Python int bitmask (bit d:
-    difference d), from the uncovered set down to a block's own differences."""
+    """The completions of one partial family within one budget.  The DFS holds
+    every set of differences as a Python int bitmask (bit d: difference d),
+    from the uncovered set down to a block's own differences."""
 
-    def __init__(self, group: CayleyGroup, mode: Mode, budget: SearchBudget,
-                 stats: SearchStats, canonical_transforms=None):
+    def __init__(self, group: CayleyGroup, partial: PartialFamily, budget: SearchBudget,
+                 stats: SearchStats):
+        self.fixed, self.uncovered, self.need_inf = _fixed_state(group, partial)
         self.group = group
-        self.mode = mode
+        self.mode = partial.mode
         self.stats = stats
         self.budget = _Budget(budget, stats)
-        self.canonical_transforms = canonical_transforms
-        self.table = group.table
         x = np.arange(group.order)
         self.is_involution = ((group.inverses == x) & (x != group.identity)).tolist()
         self.pairs = _difference_pairs(group)
-        self.by_delta = (_candidates_by_delta(group) if mode is Mode.TRANSITIVE
+        self.by_delta = (_candidates_by_delta(group) if self.mode is Mode.TRANSITIVE
                          else [()] * group.order)
 
     # ------------------------------------------------------------------
-    def run(self, fixed_blocks_idx: list, uncovered: np.ndarray, need_inf: bool):
+    def run(self):
         """Yield completed families (index blocks); generator-based DFS."""
-        yield from self._extend(fixed_blocks_idx, [], _masks(uncovered[None])[0], need_inf)
+        yield from self._extend(self.fixed, [], _masks(self.uncovered[None])[0], self.need_inf)
+
+    def families(self):
+        """Yield the completed families, each one checked by
+        check_difference_family."""
+        for idx_blocks in self.run():
+            fam = _blocks_to_family(self.group, self.mode, idx_blocks)
+            if not check_difference_family(self.group, fam):
+                raise AssertionError("search emitted a family failing the algebraic check")
+            yield fam
 
     def _emit(self, fixed, chosen):
         return [list(b) for b in fixed] + [list(b) for b in chosen]
@@ -276,12 +286,7 @@ class _Searcher:
             if self.stats.budget_hit or not self.budget.solutions_left():
                 return
             if len(members) == BLOCK_SIZE:
-                block = tuple(sorted(members))
-                if (self.canonical_transforms is not None
-                        and not fixed and not chosen
-                        and not self._first_block_canonical(block, delta)):
-                    return
-                chosen.append(block)
+                chosen.append(tuple(sorted(members)))
                 yield from self._extend(fixed, chosen, free, False)
                 chosen.pop()
                 return
@@ -306,22 +311,6 @@ class _Searcher:
         if not seed:
             return
         yield from rec([e, delta], 1, cands, seed[0], free & ~seed[0])
-
-    def _first_block_canonical(self, block, delta) -> bool:
-        """Is the block lexicographically minimal among its images under the
-        supplied automorphisms, translated to contain {e, delta}?"""
-        target = block
-        e = self.group.identity
-        for sigma in self.canonical_transforms:
-            img = [int(sigma[x]) for x in block]
-            for x in img:
-                xinv = self.group.inv(x)
-                form = tuple(sorted(int(self.table[xinv, y]) for y in img))
-                if delta not in form:
-                    continue
-                if form < target:
-                    return False
-        return True
 
 
 def _fixed_state(group: CayleyGroup, partial: PartialFamily):
@@ -359,66 +348,7 @@ def complete_family(group: CayleyGroup, partial: PartialFamily,
     """
     budget = budget or SearchBudget()
     stats = stats if stats is not None else SearchStats()
-    fixed_idx, uncovered, need_inf = _fixed_state(group, partial)
-    searcher = _Searcher(group, partial.mode, budget, stats)
-    out = []
-    for idx_blocks in searcher.run(fixed_idx, uncovered, need_inf):
-        fam = _blocks_to_family(group, partial.mode, idx_blocks)
-        if not check_difference_family(group, fam):
-            raise AssertionError("search emitted a family failing the algebraic check")
-        out.append(fam)
-    return out
-
-
-def multiplier_generators(group: CayleyGroup) -> list:
-    """Canonical-pruning automorphisms: multipliers of a cyclic group.
-
-    For cyclic groups (integer labels 0..n-1) the maps x -> u x over a set of
-    units generating (Z/n)* give the full automorphism group.  For other
-    abelian groups there are none (translation-only normalization).
-    """
-    import math
-
-    n = group.order
-    if not group.is_abelian():
-        raise UnsupportedCanonicalization("canonical pruning needs an abelian group")
-    if not all(isinstance(lab, int) for lab in group.labels):
-        return []
-    gens = []
-    covered = {1}
-    for u in range(2, n):
-        if math.gcd(u, n) != 1 or u in covered:
-            continue
-        gens.append(np.array([group.index[(u * lab) % n] for lab in group.labels],
-                             dtype=np.int64))
-        # close the covered unit set under multiplication
-        new = {u}
-        while new:
-            x = new.pop()
-            covered.add(x)
-            for v in list(covered):
-                w = (x * v) % n
-                if w not in covered:
-                    new.add(w)
-    return gens
-
-
-def _closure_of_perms(gens: list, n: int) -> list:
-    """All permutations generated by gens (small groups only)."""
-    ident = tuple(range(n))
-    seen = {ident}
-    frontier = [ident]
-    gens_t = [tuple(int(x) for x in g) for g in gens]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens_t:
-                q = tuple(g[x] for x in p)
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return [np.array(p, dtype=np.int64) for p in sorted(seen)]
+    return list(_Searcher(group, partial, budget, stats).families())
 
 
 def search_families(group: CayleyGroup, mode: Mode | str,
@@ -427,33 +357,20 @@ def search_families(group: CayleyGroup, mode: Mode | str,
                     stats: SearchStats | None = None):
     """Yield difference families over the group; exhaustive within budget.
 
-    With canonicalize, the first base block is normalized to be
-    lexicographically minimal under translations and multiplier_generators,
-    and families developing to designs with an already-seen canonical key are
-    suppressed.  Canonical keys count against time_limit_s: when it runs out
-    during one, the search stops with budget_hit set.
+    With canonicalize, a family is dropped when its developed design has the
+    canonical key of a family yielded before; this works over every group.
+    Canonical keys count against time_limit_s: when it runs out during one,
+    the search stops with budget_hit set.
     """
-    mode = Mode(mode)
     budget = budget or SearchBudget()
     stats = stats if stats is not None else SearchStats()
-    _, uncovered, need_inf = _fixed_state(group, PartialFamily(mode, []))
-    transforms = None
-    if canonicalize:
-        gens = multiplier_generators(group)  # raises if non-abelian
-        transforms = _closure_of_perms(gens, group.order)
-    searcher = _Searcher(group, mode, budget, stats, canonical_transforms=transforms)
+    searcher = _Searcher(group, PartialFamily(mode, []), budget, stats)
     seen_keys = set()
-    for idx_blocks in searcher.run([], uncovered, need_inf):
-        fam = _blocks_to_family(group, mode, idx_blocks)
-        if not check_difference_family(group, fam):
-            raise AssertionError("search emitted a family failing the algebraic check")
+    for fam in searcher.families():
         if canonicalize:
-            from .designs import develop
-            from .isomorph import canonical_key
-
             try:
-                key = canonical_key(develop(group, fam),
-                                    searcher.budget.deadline - time.monotonic())
+                key = isomorph.canonical_key(develop(group, fam),
+                                             searcher.budget.deadline - time.monotonic())
             except TimeoutError:
                 stats.budget_hit = True
                 return

@@ -31,7 +31,7 @@ def emit_ex1_1(monkeypatch):
     e = entry("ex1-1")
     blocks = resolve_family(e.group(), e.family())
 
-    def run(self, fixed, uncovered, need_inf):
+    def run(self):
         yield [list(b) for b in blocks]
 
     monkeypatch.setattr(search._Searcher, "run", run)

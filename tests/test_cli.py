@@ -122,6 +122,14 @@ def test_catalog_check_threads_agree(capsys):
     assert strip(out1) == strip(out2)
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_catalog_check_threads_below_one_is_usage_error(capsys, threads):
+    with pytest.raises(SystemExit) as exc:
+        main(["catalog", "check", "--filter", "ex1-1", "--threads", threads])
+    assert exc.value.code == 2
+    assert "must be positive" in capsys.readouterr().err
+
+
 def test_group_validate(capsys, tmp_path):
     good = tmp_path / "z3.txt"
     good.write_text("3\n0 1 2\n1 2 0\n2 0 1\n")
@@ -189,6 +197,18 @@ def test_search_malformed_spec_exits_3(capsys, tmp_path, spec):
     code, _, err = search_with_group_file(capsys, p)
     assert code == 3
     assert "error:" in err
+
+
+def test_search_finds_external_table_like_family_files(capsys, tmp_path):
+    # the spec every transitive catalog entry writes, in a directory without
+    # the table: it resolves against the package data directory
+    p = tmp_path / "group.json"
+    p.write_text(json.dumps({"external": "tables/sg126_3.txt"}))
+    code, out, err = run(capsys, "search", "--group", str(p), "--mode", "transitive",
+                         "--max-nodes", "1000")
+    assert code == 4, err
+    assert out == ""
+    assert "0 families, 1000 nodes, budget_hit=True" in err
 
 
 @pytest.mark.parametrize("option, value", [

@@ -1,0 +1,31 @@
+"""The scripts under scripts/, run as a user runs them."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          cwd=ROOT, capture_output=True, text=True, timeout=600)
+
+
+def test_classify_all_prints_one_line_per_entry():
+    proc = run_script("classify_all.py", "sg126-3-*")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["id"] == "sg126-3-1"
+    assert record["aut"] == 126 and record["complete"]
+    assert "1 entries, 0 failures" in proc.stderr
+
+
+def test_reproduce_all_reproduces_a_list():
+    proc = run_script("reproduce_all.py", "ex1-*")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "8/8 entries reproduce" in proc.stdout
+    assert "FAIL" not in proc.stdout

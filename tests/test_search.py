@@ -1,4 +1,4 @@
-"""Difference-family search: completion, budgets, canonical pruning."""
+"""Difference-family search: completion, budgets, canonical-key dedupe."""
 
 import dataclasses
 
@@ -6,9 +6,9 @@ import pytest
 
 from conftest import emit_ex1_1, entry
 from unitals import catalog, isomorph, search
-from unitals.designs import Mode, develop, verify_steiner
+from unitals.designs import Mode, develop, resolve_family, verify_steiner
 from unitals.difference import check_difference_family
-from unitals.errors import InconsistentPartial, ModeOrderMismatch, UnsupportedCanonicalization
+from unitals.errors import InconsistentPartial, ModeOrderMismatch
 from unitals.groups import INF, Cyclic, build_group
 from unitals.isomorph import canonical_key
 from unitals.search import (
@@ -95,10 +95,35 @@ def test_search_deterministic(z125):
     assert runs[0] == runs[1]
 
 
-def test_canonicalize_requires_abelian():
+def test_canonicalize_searches_non_abelian_groups():
     g = entry("sg126-1-1").group()
-    with pytest.raises(UnsupportedCanonicalization):
-        list(search_families(g, Mode.TRANSITIVE, SearchBudget(max_nodes=10)))
+    assert not g.is_abelian()
+    stats = SearchStats()
+    got = list(search_families(g, Mode.TRANSITIVE, SearchBudget(max_nodes=10), stats=stats))
+    assert got == []
+    assert stats.budget_hit
+
+
+def test_canonicalize_drops_isomorphic_families(monkeypatch):
+    e = entry("ex1-1")
+    z125 = e.group()
+    blocks = [list(b) for b in resolve_family(z125, e.family())]
+    n = z125.order  # the index of ∞
+    # x -> 2x (x + x in Z_125) is a group automorphism, so the image develops
+    # to an isomorphic design
+    doubled = [[p if p == n else int(z125.table[p, p]) for p in b] for b in blocks]
+    assert doubled != blocks
+
+    def run(self):
+        yield blocks
+        yield doubled
+
+    monkeypatch.setattr(search._Searcher, "run", run)
+    for canonicalize, count in ((True, 1), (False, 2)):
+        fams = list(search_families(z125, Mode.ONE_ROTATIONAL, canonicalize=canonicalize))
+        assert len(fams) == count
+    assert fams[0].base_blocks == e.base_blocks
+    assert fams[1].base_blocks != e.base_blocks
 
 
 def test_seeded_rediscovery_matches_catalog(z125, ex1_1):
