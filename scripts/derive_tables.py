@@ -133,7 +133,7 @@ def load_families(key: str, items) -> list:
     fams = []
     for j in items:
         entry = load_entry(catalog_dir() / key / f"{key}-{j}.json")
-        blocks = [[lab for lab in b] for b in entry.resolved_int_blocks()]
+        blocks = [[int(lab) for lab in b] for b in entry.base_blocks]
         fams.append((blocks, Fingerprint.from_dict(entry.expected_fingerprint)))
     return fams
 

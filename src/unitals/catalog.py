@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .designs import DifferenceFamily, Mode, develop, verify_steiner
-from .errors import GroupUnavailable, OrderingNotFound, SchemaError, SumInvariantError
+from .designs import BLOCK_SIZE, DifferenceFamily, Mode, develop, verify_steiner
+from .errors import GroupUnavailable, SchemaError, SumInvariantError
 from .fingerprint import TOTAL_QUADRUPLES, Fingerprint, fingerprint
 from .groups import (
     CayleyGroup,
@@ -46,8 +46,7 @@ FINGERPRINT_SHARING_PAIRS = (
     ("sg126-8-38", "sg126-10-273"),
 )
 
-_ENTRY_KEYS = {"id", "group", "mode", "base_blocks", "expected_fingerprint",
-               "source", "candidates"}
+_ENTRY_KEYS = {"id", "group", "mode", "base_blocks", "expected_fingerprint", "source"}
 
 
 @dataclass
@@ -58,7 +57,6 @@ class CatalogEntry:
     base_blocks: list  # label lists
     expected_fingerprint: dict  # count -> frequency
     source: str
-    candidates: list = field(default_factory=list)  # optional GroupSpecs
     path: Path | None = None
 
     def family(self) -> DifferenceFamily:
@@ -66,10 +64,6 @@ class CatalogEntry:
 
     def expected(self) -> Fingerprint:
         return Fingerprint.from_dict(self.expected_fingerprint)
-
-    def resolved_int_blocks(self) -> list:
-        """Integer-labeled base blocks (transitive entries only)."""
-        return [[int(lab) for lab in b] for b in self.base_blocks]
 
     def group(self) -> CayleyGroup:
         return build_spec_group(self.group_spec, self.path)
@@ -98,9 +92,9 @@ def entry_from_json(obj: dict, path: Path | None = None) -> CatalogEntry:
     unknown = set(obj) - _ENTRY_KEYS
     if unknown:
         raise SchemaError(f"unknown entry keys: {sorted(unknown)}")
-    for key in ("id", "group", "mode", "base_blocks", "expected_fingerprint", "source"):
-        if key not in obj:
-            raise SchemaError(f"missing entry key {key!r}")
+    missing = _ENTRY_KEYS - set(obj)
+    if missing:
+        raise SchemaError(f"missing entry keys: {sorted(missing)}")
     if not isinstance(obj["id"], str) or not isinstance(obj["source"], str):
         raise SchemaError("id and source must be strings")
     try:
@@ -120,12 +114,13 @@ def entry_from_json(obj: dict, path: Path | None = None) -> CatalogEntry:
         fpd = {int(k): int(v) for k, v in fp.items()}
     except (ValueError, TypeError, OverflowError):
         raise SchemaError("expected_fingerprint keys/values must be integers") from None
+    # a count is a number of points u on line oy other than o and y
+    if any(not 0 <= k <= BLOCK_SIZE - 2 or v < 0 for k, v in fpd.items()):
+        raise SchemaError(f"expected_fingerprint needs counts in 0..{BLOCK_SIZE - 2} "
+                          "and nonnegative frequencies")
     if sum(fpd.values()) != TOTAL_QUADRUPLES:
         raise SumInvariantError(
             f"expected fingerprint sums to {sum(fpd.values())}, not {TOTAL_QUADRUPLES}")
-    if not isinstance(obj.get("candidates", []), list):
-        raise SchemaError("candidates must be a list")
-    candidates = [spec_from_json(c) for c in obj.get("candidates", [])]
     entry = CatalogEntry(
         id=obj["id"],
         group_spec=spec,
@@ -133,7 +128,6 @@ def entry_from_json(obj: dict, path: Path | None = None) -> CatalogEntry:
         base_blocks=blocks,
         expected_fingerprint=fpd,
         source=obj["source"],
-        candidates=candidates,
         path=path,
     )
     entry.family()  # validates the blocks
@@ -141,7 +135,7 @@ def entry_from_json(obj: dict, path: Path | None = None) -> CatalogEntry:
 
 
 def entry_to_json(entry: CatalogEntry) -> dict:
-    obj = {
+    return {
         "id": entry.id,
         "group": spec_to_json(entry.group_spec),
         "mode": entry.mode.value,
@@ -149,9 +143,6 @@ def entry_to_json(entry: CatalogEntry) -> dict:
         "expected_fingerprint": {str(k): v for k, v in sorted(entry.expected_fingerprint.items())},
         "source": entry.source,
     }
-    if entry.candidates:
-        obj["candidates"] = [spec_to_json(c) for c in entry.candidates]
-    return obj
 
 
 def save_entry(entry: CatalogEntry, path: str | Path) -> None:
@@ -165,12 +156,9 @@ def save_entry(entry: CatalogEntry, path: str | Path) -> None:
     for i, b in enumerate(bb):
         comma = "," if i < len(bb) - 1 else ""
         lines.append(f"  {json.dumps(b)}{comma}")
-    tail_comma = "," if "candidates" in obj else ""
     lines.append(" ],")
     lines.append(f' "expected_fingerprint": {json.dumps(obj["expected_fingerprint"])},')
-    lines.append(f' "source": {json.dumps(obj["source"])}{tail_comma}')
-    if "candidates" in obj:
-        lines.append(f' "candidates": {json.dumps(obj["candidates"])}')
+    lines.append(f' "source": {json.dumps(obj["source"])}')
     lines.append("}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -271,48 +259,6 @@ def reproduce(entry: CatalogEntry) -> ReproductionRecord:
         match = computed == entry.expected()
     return ReproductionRecord(entry.id, steiner_ok, match, computed,
                               time.perf_counter() - t0)
-
-
-@dataclass
-class ReconstructedOrdering:
-    spec: GroupSpec
-    group: CayleyGroup
-    reversed_labels: bool
-
-
-def reconstruct_ordering(candidates: Sequence[GroupSpec],
-                         family: DifferenceFamily) -> ReconstructedOrdering:
-    """First candidate convention under which the family develops to S(2,6,126).
-
-    For every candidate spec, both tuple readings are tried: labels as
-    printed, then with top-level tuple coordinates reversed (the other
-    mixed-radix coordinate order).  Raises OrderingNotFound when no
-    convention validates.
-    """
-    for spec in candidates:
-        try:
-            group = build_group(spec)
-        except Exception:
-            continue
-        for reversed_labels in (False, True):
-            fam = _reverse_family(family) if reversed_labels else family
-            try:
-                design = develop(group, fam)
-            except Exception:
-                continue
-            if design.block_count == 525 and verify_steiner(design).is_steiner:
-                return ReconstructedOrdering(spec, group, reversed_labels)
-    raise OrderingNotFound(
-        f"none of the {len(list(candidates))} candidate conventions "
-        "reproduces the family; supply an external Cayley table")
-
-
-def _reverse_family(family: DifferenceFamily) -> DifferenceFamily:
-    def rev(lab):
-        return tuple(reversed(lab)) if isinstance(lab, tuple) else lab
-
-    blocks = [[rev(lab) for lab in b] for b in family.base_blocks]
-    return DifferenceFamily(family.mode, blocks)
 
 
 def catalog_check(entries: Iterable[CatalogEntry], threads: int = 1) -> list:

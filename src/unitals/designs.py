@@ -121,11 +121,9 @@ class Design:
             action = np.arange(self.n_points)[None]
         return action, action.min(axis=0)
 
-    def format_block(self, index: int, compact: bool = True) -> str:
-        return " ".join(
-            format_element_label(self.labels[p], compact=compact)
-            for p in self.blocks[index]
-        )
+    def format_block(self, index: int) -> str:
+        return " ".join(format_element_label(self.labels[p], compact=True)
+                        for p in self.blocks[index])
 
 
 def _check_points(rows: np.ndarray, real: np.ndarray, n_points: int) -> None:

@@ -58,11 +58,7 @@ class DuplicateKey(ParseError):
 
 
 class GroupUnavailable(UnitalsError):
-    """No validated ordering and no external Cayley table for the group."""
-
-
-class OrderingNotFound(UnitalsError):
-    """No candidate convention reproduces the family (reconstruct_ordering)."""
+    """The Cayley table a group spec names cannot be found."""
 
 
 class InconsistentPartial(UnitalsError):

@@ -19,8 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .designs import (Design, block_image, is_block_invariant, maps_blocks,
-                      translation_permutation)
+from .designs import Design, block_image, is_block_invariant, maps_blocks
 from .fingerprint import fingerprint, pair_histograms, point_histograms
 
 
@@ -396,9 +395,3 @@ def _orbit_under_stabilizer(points, base: tuple, aut_gens: list, n: int) -> np.n
             break
         power = np.take_along_axis(power, power, axis=1)
     return orbit
-
-
-def left_translations_are_automorphisms(design: Design, group, one_rotational: bool) -> bool:
-    """Every left translation maps the block set onto itself."""
-    return all(is_block_invariant(design, translation_permutation(group, g, one_rotational))
-               for g in range(group.order))

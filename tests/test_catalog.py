@@ -1,4 +1,4 @@
-"""Catalog loading, schema, reproduction, ordering reconstruction."""
+"""Catalog loading, schema, reproduction and group resolution."""
 
 import json
 from pathlib import Path
@@ -10,24 +10,20 @@ from unitals.catalog import (
     FINGERPRINT_SHARING_PAIRS,
     REQUIRED_LIST_SIZES,
     catalog_check,
-    catalog_dir,
     entry_from_json,
     entry_to_json,
     iter_entry_paths,
     load_entry,
     load_required_entries,
-    reconstruct_ordering,
     reproduce,
     save_entry,
 )
 from unitals.errors import (
     GroupUnavailable,
-    OrderingNotFound,
     SchemaError,
     SumInvariantError,
 )
 from unitals.fingerprint import TOTAL_QUADRUPLES
-from unitals.groups import Cyclic, Semidirect
 
 
 def test_required_list_sizes():
@@ -50,15 +46,15 @@ def test_pair_entries_share_fingerprints():
 
 
 def test_save_load_round_trip(tmp_path):
-    for eid in ("ex1-1", "ex3-7", "sg126-1-2"):
-        e = entry(eid)
-        out = tmp_path / f"{eid}.json"
+    # every shipped file is exactly what save_entry writes for it
+    out = tmp_path / "entry.json"
+    paths = iter_entry_paths()
+    assert len(paths) == 1239
+    for path in paths:
+        e = load_entry(path)
         save_entry(e, out)
-        e2 = load_entry(out)
-        assert entry_to_json(e2) == entry_to_json(e)
-        # and byte-stable against the shipped file
-        shipped = (catalog_dir() / eid.rpartition("-")[0] / f"{eid}.json").read_bytes()
-        assert out.read_bytes() == shipped
+        assert out.read_bytes() == path.read_bytes(), path.stem
+        assert entry_to_json(load_entry(out)) == entry_to_json(e)
 
 
 def test_schema_rejects_short_block(ex1_1):
@@ -79,6 +75,13 @@ def test_schema_rejects_unknown_key(ex1_1):
     obj = entry_to_json(ex1_1)
     obj["extra"] = 1
     with pytest.raises(SchemaError):
+        entry_from_json(obj)
+
+
+def test_schema_rejects_missing_key(ex1_1):
+    obj = entry_to_json(ex1_1)
+    del obj["source"]
+    with pytest.raises(SchemaError, match="source"):
         entry_from_json(obj)
 
 
@@ -117,37 +120,6 @@ def test_whole_catalog_reproduces_bit_exactly():
     failures = [(r.entry_id, r.steiner_ok, str(r.computed_fingerprint))
                 for r in records if not (r.steiner_ok and r.fingerprint_match)]
     assert not failures
-
-
-def test_reconstruct_ordering_single_cyclic_candidate(ex1_1):
-    got = reconstruct_ordering([Cyclic(125)], ex1_1.family())
-    assert got.spec == Cyclic(125)
-    assert not got.reversed_labels
-
-
-def test_reconstruct_ordering_two_coordinate_orders():
-    e = entry("ex4-1")
-    spec = Semidirect(Cyclic(25), Cyclic(5), ((1, 6),))
-    got = reconstruct_ordering([spec], e.family())
-    # only the as-printed (Z25, Z5) reading validates; tuple ranges force it
-    assert got.spec == spec and not got.reversed_labels
-
-
-def test_reconstruct_ordering_wrong_action_not_found():
-    e = entry("ex4-1")
-    wrong = Semidirect(Cyclic(25), Cyclic(5), ((1, 7),))
-    with pytest.raises(OrderingNotFound):
-        reconstruct_ordering([wrong], e.family())
-
-
-def test_reconstruct_ordering_sg_candidates_fall_back_to_table():
-    # the grammar candidates shipped with non-abelian order-126 entries do not
-    # reproduce the GAP numbering; the external table is the documented escape
-    e = entry("sg126-1-1")
-    assert e.candidates
-    with pytest.raises(OrderingNotFound):
-        reconstruct_ordering(e.candidates, e.family())
-    assert reproduce(e).ok  # the shipped table does reproduce
 
 
 def test_group_unavailable(tmp_path, ex1_1):

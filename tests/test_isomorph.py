@@ -13,7 +13,6 @@ from unitals.isomorph import (
     automorphism_order,
     canonical_key,
     initial_partition,
-    left_translations_are_automorphisms,
 )
 
 PAIR_A = ("sg126-8-25", "sg126-10-191")
@@ -106,11 +105,6 @@ def test_classical_unital_automorphisms(design_classical):
     assert count.order > 125
     # the full collineation group of the order-5 hermitian unital
     assert count.order == 756000
-
-
-def test_left_translations_are_automorphisms(ex1_1, design_ex1_1):
-    assert left_translations_are_automorphisms(
-        design_ex1_1, ex1_1.group(), one_rotational=True)
 
 
 def test_canonical_key_relabel_stable(design_ex1_1):
