@@ -233,6 +233,10 @@ def _resolve_table_path(raw: str, spec_path: Path | None) -> Path:
         f"no Cayley table at {raw!r} (searched {[str(c) for c in candidates]})")
 
 
+#: the stages of a reproduction, in the order it runs them
+STAGES = ("group", "develop", "verify", "fingerprint")
+
+
 @dataclass
 class ReproductionRecord:
     entry_id: str
@@ -240,6 +244,7 @@ class ReproductionRecord:
     fingerprint_match: bool
     computed_fingerprint: Fingerprint | None
     elapsed_s: float
+    stages_s: dict  # STAGES -> seconds; nothing is fingerprinted when verify fails
 
     @property
     def ok(self) -> bool:
@@ -248,17 +253,22 @@ class ReproductionRecord:
 
 def reproduce(entry: CatalogEntry) -> ReproductionRecord:
     """develop -> verify -> fingerprint -> compare against the transcription."""
-    t0 = time.perf_counter()
+    marks = [time.perf_counter()]
     group = entry.group()
+    marks.append(time.perf_counter())
     design = develop(group, entry.family())
+    marks.append(time.perf_counter())
     steiner_ok = verify_steiner(design).is_steiner
+    marks.append(time.perf_counter())
     computed = None
     match = False
     if steiner_ok:
         computed = fingerprint(design)
         match = computed == entry.expected()
+    marks.append(time.perf_counter())
+    stages = {name: end - start for name, start, end in zip(STAGES, marks, marks[1:])}
     return ReproductionRecord(entry.id, steiner_ok, match, computed,
-                              time.perf_counter() - t0)
+                              time.perf_counter() - marks[0], stages)
 
 
 def catalog_check(entries: Iterable[CatalogEntry], threads: int = 1) -> list:

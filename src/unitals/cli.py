@@ -30,7 +30,7 @@ EXIT_INPUT = 3
 EXIT_BUDGET = 4
 
 
-def _positive(kind):
+def positive(kind):
     """argparse type for a budget or a thread count: a number of ``kind`` above 0."""
     def parse(text: str):
         value = kind(text)  # argparse reports a ValueError as "invalid <kind> value"
@@ -75,7 +75,7 @@ def _parser() -> argparse.ArgumentParser:
     cp.add_argument("--filter", default=None, help="id glob, e.g. 'ex1-*'")
     cp.add_argument("--required", action="store_true",
                     help="only the fully transcribed required lists")
-    cp.add_argument("--threads", type=_positive(int), default=1)
+    cp.add_argument("--threads", type=positive(int), default=1)
     cp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("search", help="bounded difference-family search")
@@ -83,9 +83,9 @@ def _parser() -> argparse.ArgumentParser:
                     help="JSON file holding a group spec")
     sp.add_argument("--mode", required=True,
                     choices=[m.value for m in Mode])
-    sp.add_argument("--max-nodes", type=_positive(int), default=1_000_000)
-    sp.add_argument("--max-solutions", type=_positive(int), default=10)
-    sp.add_argument("--time-limit", type=_positive(float), default=600.0)
+    sp.add_argument("--max-nodes", type=positive(int), default=1_000_000)
+    sp.add_argument("--max-solutions", type=positive(int), default=10)
+    sp.add_argument("--time-limit", type=positive(float), default=600.0)
     sp.add_argument("--no-canonicalize", dest="canonicalize", action="store_false")
 
     sp = sub.add_parser("group", help="group-layer utilities")
@@ -196,6 +196,7 @@ def _cmd_catalog_check(args) -> int:
                     format_fingerprint(r.computed_fingerprint)
                     if r.computed_fingerprint else None,
                 "elapsed_s": round(r.elapsed_s, 3),
+                "stages_s": {k: round(v, 4) for k, v in r.stages_s.items()},
             }))
         else:
             status = "PASS" if r.ok else "FAIL"

@@ -9,6 +9,7 @@ fingerprint is the histogram of these counts over all 7,560,000 quadruples.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
@@ -16,6 +17,8 @@ from .designs import BLOCK_SIZE, Design, verify_steiner
 from .errors import DuplicateKey, NotASteinerSystem, ParseError
 
 TOTAL_QUADRUPLES = 7_560_000  # 126*125*124 - 525*6*5*4 non-collinear triples, times 4
+#: (3, 120): the places of p, y and x for each ordered triple of distinct places of a line
+_PLACES = np.array(list(permutations(range(BLOCK_SIZE), 3))).T
 
 
 @dataclass(frozen=True)
@@ -87,46 +90,31 @@ def _require_steiner(design: Design) -> None:
         raise NotASteinerSystem("fingerprint requires a verified S(2,6,126)")
 
 
-def _incidence_tables(design: Design):
-    """(others, disjoint): 4 co-line points per pair, block disjointness matrix."""
-    cached = design._cache.get("incidence_tables")
-    if cached is not None:
-        return cached
-    n = design.n_points
-    blocks = design.block_rows  # (B, 6), each row ascending
-    firsts, seconds = np.nonzero(~np.eye(BLOCK_SIZE, dtype=bool))
-    rest = np.array([[r for r in range(BLOCK_SIZE) if r not in (j, k)]
-                     for j, k in zip(firsts, seconds)])
-    others = np.zeros((n, n, 4), dtype=np.int32)
-    others[blocks[:, firsts], blocks[:, seconds]] = blocks[:, rest]
-    lines = design.point_lines
-    meets = np.zeros((len(blocks), len(blocks)), dtype=bool)
-    meets[lines[:, :, None], lines[:, None, :]] = True  # both lines through one point
-    disjoint = ~meets
-    design._cache["incidence_tables"] = (others, disjoint)
-    return others, disjoint
-
-
 def _kernel_rows(design: Design, origins) -> np.ndarray:
-    """(len(origins), n, 5): row o of the pair histograms for each origin o."""
+    """(len(origins), n, 5): row o of the pair histograms for each origin o.
+
+    Colour each point t != o by line(o, t): r = 25 colours of 5 points each.  A
+    line missing o has 6 points of 6 distinct colours, and a quadruple (o, x,
+    y, p) is such a line l0 with p, y and x at three distinct places.  The 5
+    points u of colour c(y) lie on 5 distinct lines pu, none through o, and
+    line pu misses line ox exactly when it carries no point of colour c(x).  So
+    the count is 5 - both[p, c(y), c(x)], where both[p, a, b] is the number of
+    lines through p that miss o and carry colours a and b: one bincount of the
+    keys (p, c(y), c(x)) over every line missing o.  l0 = py is one of those
+    lines, as it carries x, so u = y is not counted.
+    """
     n = design.n_points
-    line_of = design.line_of.ravel()
-    others, disjoint = _incidence_tables(design)
-    # [j, y, x] -> n * p_j, the j-th point of line(x,y) \ {x,y}
-    p_rows = np.moveaxis(others, 2, 0) * n
-    y_bins = np.broadcast_to(np.arange(n)[:, None] * 5, (4, n, n))  # first bin of row y
-    rows = np.zeros((len(origins), n, 5), dtype=np.int64)
+    lines = design.point_lines  # (n, r), ascending
+    r = lines.shape[1]
+    p, y, x = _PLACES
+    rows = np.empty((len(origins), n, 5), dtype=np.int64)
     for row, o in zip(rows, origins):
-        pencil = design.line_of[o]  # line(o, t) for every t
-        valid = pencil[:, None] != pencil[None, :]  # [y, x]: o,x,y non-collinear
-        valid[o, :] = False
-        valid[:, o] = False
-        misses_ox = disjoint[:, pencil].ravel()  # [l * n + x]: line l misses line(o, x)
-        bins = y_bins.copy()
-        for u in others[o].T:  # one point of line(o,y) \ {o,y} per y
-            line_pu = line_of.take(p_rows + u[:, None])
-            bins += misses_ox.take(line_pu * n + np.arange(n))
-        row += np.bincount(bins[:, valid].ravel(), minlength=5 * n).reshape(n, 5)
+        colour = np.searchsorted(lines[o], design.line_of[o])  # line(o, t)'s rank
+        far = np.delete(design.block_rows, lines[o], axis=0)  # the lines missing o
+        far_colours = colour[far]
+        key = (far[:, p] * r + far_colours[:, y]) * r + far_colours[:, x]
+        counts = 5 - np.bincount(key.ravel())[key]
+        row[:] = np.bincount((far[:, y] * 5 + counts).ravel(), minlength=5 * n).reshape(n, 5)
     return rows
 
 
@@ -144,7 +132,7 @@ def pair_histograms(design: Design) -> np.ndarray:
     action, minima = design.orbits()
     reps = np.unique(minima)  # one origin per orbit
     # the kernel's temporaries are freed before hist is allocated: a
-    # reproduction then peaks at about 2.9 MB of heap, not 3.5, which stays
+    # reproduction then peaks at about 2.3 MB of heap (tracemalloc), which stays
     # under glibc's trim threshold, so its pages are reused, not faulted in again
     rows = _kernel_rows(design, reps)
     hist = np.zeros((design.n_points, design.n_points, 5), dtype=np.int64)
@@ -180,8 +168,7 @@ def point_profile(design: Design) -> list:
 def fingerprint_reference(design: Design) -> Fingerprint:
     """Direct quadruple loop with set-intersection by scanning (test oracle).
 
-    Deliberately avoids the precomputed co-line table and disjointness matrix
-    of the optimized kernel.
+    Deliberately avoids the colour counting of the optimized kernel.
     """
     _require_steiner(design)
     n = design.n_points

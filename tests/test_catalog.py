@@ -9,6 +9,7 @@ from conftest import entry
 from unitals.catalog import (
     FINGERPRINT_SHARING_PAIRS,
     REQUIRED_LIST_SIZES,
+    STAGES,
     catalog_check,
     entry_from_json,
     entry_to_json,
@@ -96,6 +97,9 @@ def test_reproduce_ex1_1(ex1_1):
     rec = reproduce(ex1_1)
     assert rec.steiner_ok and rec.fingerprint_match
     assert rec.elapsed_s < 5
+    assert tuple(rec.stages_s) == STAGES
+    assert min(rec.stages_s.values()) >= 0
+    assert sum(rec.stages_s.values()) <= rec.elapsed_s
 
 
 def test_reproduce_corrupted_clone(ex1_1, tmp_path):

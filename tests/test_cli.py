@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import emit_ex1_1, entry
-from unitals.catalog import catalog_dir, entry_to_json
+from unitals.catalog import STAGES, catalog_dir, entry_to_json
 from unitals.cli import main
 from unitals.isomorph import are_isomorphic, automorphism_order
 
@@ -116,10 +116,18 @@ def test_catalog_check_threads_agree(capsys):
                          "--threads", "4")
     assert code1 == code2 == 0
     strip = lambda s: [
-        {k: v for k, v in json.loads(l).items() if k != "elapsed_s"}
+        {k: v for k, v in json.loads(l).items() if k not in ("elapsed_s", "stages_s")}
         for l in s.splitlines() if l.startswith("{")
     ]
     assert strip(out1) == strip(out2)
+
+
+def test_catalog_check_json_reports_stage_timings(capsys):
+    code, out, _ = run(capsys, "catalog", "check", "--filter", "ex1-1", "--json")
+    assert code == 0
+    record = json.loads(out)
+    assert tuple(record["stages_s"]) == STAGES
+    assert sum(record["stages_s"].values()) <= record["elapsed_s"] + 0.001  # rounding
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])

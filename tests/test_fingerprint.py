@@ -152,3 +152,37 @@ def test_relabeled_copy_takes_full_kernel(entry_id, kernel_origins):
     assert np.array_equal(pair_histograms(bare), moved)
     assert kernel_origins[-1] == 126
     assert fingerprint(copy) == fingerprint(d)
+
+
+def _pair_histogram_row(design, o):
+    """Row o of the pair histograms counted from the definition, from the
+    blocks and line_of alone: [y, c] is the number of quadruples (o, x, y, p)
+    for which c points u of line oy other than o and y have line pu
+    disjoint from line ox."""
+    lines = [set(b) for b in design.blocks]
+    line_of = design.line_of.tolist()
+    row = np.zeros((design.n_points, 5), dtype=np.int64)
+    for y in range(design.n_points):
+        if y == o:
+            continue
+        us = lines[line_of[o][y]] - {o, y}
+        for x in range(design.n_points):
+            if x in (o, y) or line_of[o][x] == line_of[o][y]:
+                continue
+            line_ox = lines[line_of[o][x]]
+            for p in lines[line_of[x][y]] - {x, y}:
+                row[y, sum(lines[line_of[p][u]].isdisjoint(line_ox) for u in us)] += 1
+    return row
+
+
+@pytest.mark.parametrize("entry_id, origin, bare", [
+    ("ex1-1", 0, False), ("ex1-1", 125, False),  # the one-rotational kernel origins 0, ∞
+    ("sg126-1-1", 0, False),  # the transitive kernel origin
+    ("ex1-1", 40, True),  # a relabeled copy without an action: every origin is a kernel origin
+])
+def test_pair_histogram_row_matches_definition(entry_id, origin, bare):
+    d = design_of(entry_id)
+    if bare:
+        perm = np.random.default_rng(11).permutation(126)
+        d = Design.from_blocks(relabel(d, perm).blocks, 126)
+    assert np.array_equal(pair_histograms(d)[origin], _pair_histogram_row(d, origin))

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -29,3 +31,12 @@ def test_reproduce_all_reproduces_a_list():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "8/8 entries reproduce" in proc.stdout
     assert "FAIL" not in proc.stdout
+    assert "stages summed over entries: group " in proc.stdout
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_reproduce_all_threads_below_one_is_usage_error(threads):
+    proc = run_script("reproduce_all.py", "ex1-1", "--threads", threads)
+    assert proc.returncode == 2
+    assert "must be positive" in proc.stderr
+    assert proc.stdout == ""
