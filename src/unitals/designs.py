@@ -93,7 +93,7 @@ class Design:
         _check_points(rows, real, n_points)
         rows[~real] = -1
         labels = range(n_points) if labels is None else labels
-        return cls(n_points, rows[np.lexsort(rows.T[::-1])], labels)
+        return cls(n_points, rows[_row_order(rows)], labels)
 
     @property
     def block_count(self) -> int:
@@ -199,10 +199,16 @@ def develop_blocks(group: CayleyGroup, base_blocks: Sequence[Sequence[int]],
     return Design(n_points, rows, labels, action)
 
 
+def _row_order(rows: np.ndarray) -> np.ndarray:
+    """Stable permutation that puts the rows of a 2-D array in lexicographic
+    order; rows of width 0 are all equal and keep their order."""
+    return np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
+
+
 def first_rows(rows: np.ndarray) -> np.ndarray:
     """Index of the first occurrence of each distinct row, the rows taken in
     lexicographic order: rows[first_rows(rows)] is np.unique(rows, axis=0)."""
-    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
+    order = _row_order(rows)
     ordered = rows[order]
     first = np.ones(len(rows), dtype=bool)
     first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
@@ -280,7 +286,7 @@ def relabel(design: Design, permutation: Sequence[int]) -> Design:
     if action is not None:
         action = np.empty_like(action)
         action[:, perm] = perm[design.action]
-    return Design(n, rows[np.lexsort(rows.T[::-1])], labels, action)
+    return Design(n, rows[_row_order(rows)], labels, action)
 
 
 def translation_permutation(group: CayleyGroup, g: int, one_rotational: bool) -> np.ndarray:

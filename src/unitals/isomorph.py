@@ -6,8 +6,9 @@ per-point fingerprint profiles, and an individualization backtracking search
 that skips the orbits of done siblings under the automorphisms known to fix
 the current path.  Block degree is constant in a Steiner system, so the
 profile seed is what breaks the initial symmetry.  One traversal of the
-search tree gives both |Aut| and the canonical key (``_search``); the
-isomorphism decision maps one design onto the other with ``_map_search``.
+search tree gives |Aut|, the canonical key and the canonical labeling
+(``_search``); two designs are isomorphic when their keys are equal, and
+their two labelings compose to the witness.
 """
 
 from __future__ import annotations
@@ -128,58 +129,9 @@ def initial_partition(design: Design) -> OrderedPartition:
     return partition
 
 
-def _discrete_mapping(pa: OrderedPartition, pb: OrderedPartition) -> np.ndarray:
-    """Point bijection sending cell k of A to cell k of B."""
-    n = len(pa.cell_ids)
-    mapping = np.empty(n, dtype=np.int64)
-    b_points = np.argsort(pb.cell_ids)
-    a_points = np.argsort(pa.cell_ids)
-    mapping[a_points] = b_points
-    return mapping
-
-
-def _compatible(pa: OrderedPartition, tra, pb: OrderedPartition, trb) -> bool:
-    if pa.n_cells != pb.n_cells or tra != trb:
-        return False
-    return bool(np.array_equal(
-        np.bincount(pa.cell_ids, minlength=pa.n_cells),
-        np.bincount(pb.cell_ids, minlength=pb.n_cells)))
-
-
 def _check_deadline(deadline: float) -> None:
     if time.monotonic() > deadline:
         raise TimeoutError
-
-
-def _map_search(da: Design, db: Design, pa: OrderedPartition,
-                pb: OrderedPartition, deadline: float,
-                auts_b: list, path_b: tuple) -> np.ndarray | None:
-    """Backtracking search for a block-set isomorphism respecting partitions.
-
-    path_b holds the points individualized on B's side so far.  When no
-    isomorphism sends a to b, none sends it to any image of b under an
-    automorphism of B fixing path_b, so that orbit of auts_b is skipped.
-    """
-    _check_deadline(deadline)
-    if pa.is_discrete():
-        mapping = _discrete_mapping(pa, pb)
-        if maps_blocks(da, db, mapping):
-            return mapping
-        return None
-    t = _target_cell(pa)
-    a = int(np.nonzero(pa.cell_ids == t)[0][0])
-    ra, tra = _refine(da, _individualize(pa, a))
-    failed = np.zeros(len(pb.cell_ids), dtype=bool)
-    for b in np.nonzero(pb.cell_ids == t)[0].tolist():
-        if failed[b]:
-            continue
-        rb, trb = _refine(db, _individualize(pb, b))
-        if _compatible(ra, tra, rb, trb):
-            found = _map_search(da, db, ra, rb, deadline, auts_b, path_b + (b,))
-            if found is not None:
-                return found
-        failed |= _orbit_under_stabilizer(b, path_b, auts_b, len(failed))
-    return None
 
 
 @dataclass
@@ -193,32 +145,29 @@ class IsoResult:
 
 
 def are_isomorphic(a: Design, b: Design, time_budget_s: float = 600.0) -> IsoResult:
-    """Isomorphism decision; any witness is re-verified before return.
+    """Isomorphism decision by canonical keys; a witness is re-verified before
+    return.
 
-    The search prunes by the automorphisms of b known without a search: its
-    automorphism group when one is cached, else its verified developing
-    translations.  If the budget runs out during the backtracking search, the
-    result is undecided: not isomorphic as far as known, with complete=False.
+    Equal keys mean isomorphic, and the witness sends each point of a to the
+    point of b with the same canonical label.  Both keys share the budget; if
+    it runs out during either search, the result is undecided: not isomorphic
+    as far as known, with complete=False.
     """
     if a.n_points != b.n_points:
         return IsoResult(False, None)
     if fingerprint(a) != fingerprint(b):  # necessary invariant, fast path
         return IsoResult(False, None)
     deadline = time.monotonic() + time_budget_s
-    pa, pb = initial_partition(a), initial_partition(b)
-    if not _compatible(pa, None, pb, None):
-        return IsoResult(False, None)
-    cached = b._cache.get("aut_group")  # its generators start with the seeds
-    auts_b = cached[1] if cached is not None else _translation_seeds(b)
     try:
-        mapping = _map_search(a, b, pa, pb, deadline, auts_b, ())
+        keys = [canonical_key(d, deadline - time.monotonic()) for d in (a, b)]
     except TimeoutError:
         return IsoResult(False, None, complete=False)
-    if mapping is None:
+    if keys[0] != keys[1]:
         return IsoResult(False, None)
+    mapping = np.argsort(b._cache["canonical_labeling"])[a._cache["canonical_labeling"]]
     if not maps_blocks(a, b, mapping):
-        raise AssertionError("search returned an invalid witness")
-    return IsoResult(True, [int(x) for x in mapping])
+        raise AssertionError("canonical labelings gave an invalid witness")
+    return IsoResult(True, mapping.tolist())
 
 
 class AutomorphismCount(NamedTuple):
@@ -285,8 +234,8 @@ def canonical_key(design: Design, time_budget_s: float = 600.0) -> bytes:
 
 def _search(design: Design, deadline: float) -> tuple:
     """((AutomorphismCount, generators), key or None) from one traversal of
-    the individualization tree (McKay & Piperno 2014); both results are
-    cached when it completes.
+    the individualization tree (McKay & Piperno 2014); both results, and the
+    best leaf's labeling that gives the key, are cached when it completes.
 
     A child in the orbit of a done sibling, under the automorphisms found so
     far that fix the path, is skipped.  A leaf equal to the first or the best
@@ -368,6 +317,7 @@ def _search(design: Design, deadline: float) -> tuple:
     key = repr((fingerprint(design).items, leaves["best"][0])).encode()
     key = hashlib.sha256(key + b"|" + leaves["best"][1]).hexdigest().encode()
     design._cache["canonical_key"] = key
+    design._cache["canonical_labeling"] = leaves["best"][2]  # point -> canonical label
     return aut_group, key
 
 

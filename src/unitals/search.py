@@ -90,12 +90,6 @@ class _Budget:
         return self.stats.solutions < self.budget.max_solutions
 
 
-@dataclass
-class _StabilizedCandidate:
-    block: tuple  # sorted element indices, contains the identity
-    covered: np.ndarray  # bool: differences covered exactly once after quotient
-
-
 def _masks(flags: np.ndarray) -> list:
     """Python int bitmasks of the rows of a 2-D bool array: bit d of mask i is
     flags[i, d]."""
@@ -104,12 +98,11 @@ def _masks(flags: np.ndarray) -> list:
     return [int.from_bytes(buf[i:i + width], "little") for i in range(0, len(buf), width)]
 
 
-def _stabilized_candidates(group: CayleyGroup) -> list:
-    """Coset-union blocks (one per left-stabilizer class), quotient-exact only;
-    built once per group."""
-    cached = group._cache.get("stabilized_candidates")
-    if cached is not None:
-        return cached
+def _stabilized_candidates(group: CayleyGroup) -> tuple:
+    """(blocks, covered) of the coset-union blocks, one per left-stabilizer
+    class and quotient-exact only: blocks[i] holds sorted element indices
+    with the identity, in discovery order, and covered[i, d] says that block
+    i covers difference d (once, after the quotient)."""
     rows = []  # in discovery order: the DFS tries candidates in this order
     for s in (6, 3, 2):
         r = BLOCK_SIZE // s - 1  # cosets joined to the subgroup, out of n/s - 1
@@ -126,10 +119,7 @@ def _stabilized_candidates(group: CayleyGroup) -> list:
     counts, stabs = block_differences(group, rows)
     # each difference covered once after the quotient, or not at all
     keep = ((counts == 0) | (counts == stabs[:, None])).all(axis=1)
-    cands = [_StabilizedCandidate(b, c)
-             for b, c in zip(map(tuple, rows[keep].tolist()), counts[keep] != 0)]
-    group._cache["stabilized_candidates"] = cands
-    return cands
+    return rows[keep], counts[keep] != 0
 
 
 def _candidates_by_delta(group: CayleyGroup) -> list:
@@ -138,9 +128,8 @@ def _candidates_by_delta(group: CayleyGroup) -> list:
     cached = group._cache.get("candidates_by_delta")
     if cached is not None:
         return cached
-    cands = _stabilized_candidates(group)
-    covered = np.array([c.covered for c in cands], dtype=bool).reshape(len(cands), group.order)
-    entries = list(zip(_masks(covered), (c.block for c in cands)))
+    blocks, covered = _stabilized_candidates(group)
+    entries = list(zip(_masks(covered), map(tuple, blocks.tolist())))
     by_delta = [[entries[i] for i in np.flatnonzero(col).tolist()] for col in covered.T]
     group._cache["candidates_by_delta"] = by_delta
     return by_delta

@@ -199,6 +199,21 @@ def test_incidence_layer_on_malformed_designs(name):
     assert report.duplicate_blocks == n_duplicates
 
 
+@pytest.mark.parametrize("blocks", [[], [[]], [[], []]], ids=["none", "one", "two"])
+def test_empty_blocks_build_and_are_rejected(blocks):
+    d = Design.from_blocks(blocks, 126)
+    assert d.block_rows.shape == (len(blocks), 0)
+    copy = relabel(d, np.random.default_rng(2).permutation(126))
+    assert np.array_equal(copy.block_rows, d.block_rows)
+    for design in (d, copy):
+        report = verify_steiner(design)
+        assert not report.is_steiner
+        assert report.pair_coverage_defects == _pairwise_reference(design)[1]
+        assert len(report.pair_coverage_defects) == 7875
+        assert report.duplicate_blocks == max(len(blocks) - 1, 0)
+    assert first_rows(d.block_rows).tolist() == [0] * bool(blocks)
+
+
 def test_only_developed_designs_carry_the_action(design_ex1_1, z125):
     action = design_ex1_1.action
     assert action.shape == (125, 126)

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import design_of, entry
 from unitals import isomorph
-from unitals.designs import Design, develop, is_block_invariant, relabel
+from unitals.catalog import FINGERPRINT_SHARING_PAIRS
+from unitals.designs import Design, develop, is_block_invariant, maps_blocks, relabel
 from unitals.fingerprint import fingerprint
 from unitals.isomorph import (
     are_isomorphic,
@@ -78,6 +79,27 @@ def test_fingerprint_sharing_pairs_non_isomorphic(pair):
     res = are_isomorphic(a, b)
     assert not res.isomorphic
     assert canonical_key(a) != canonical_key(b)
+
+
+@pytest.mark.parametrize("entry_id", [i for pair in FINGERPRINT_SHARING_PAIRS for i in pair])
+def test_fingerprint_sharing_keys_relabel_stable(entry_id):
+    """Non-isomorphism of these pairs rests on the key being an invariant."""
+    d = fresh_design(entry_id)
+    copy = relabel(d, np.random.default_rng(11).permutation(126))
+    bare = Design.from_blocks(copy.blocks, 126, copy.labels)
+    assert bare.action is None
+    assert canonical_key(copy) == canonical_key(bare) == canonical_key(d)
+
+
+def test_iso_witness_onto_bare_relabeled_copy():
+    d = fresh_design("sg126-3-1")
+    copy = relabel(d, np.random.default_rng(17).permutation(126))
+    bare = Design.from_blocks(copy.blocks, 126, copy.labels)
+    res = are_isomorphic(d, bare)
+    assert res.isomorphic and res.complete
+    assert maps_blocks(d, bare, res.witness)
+    back = are_isomorphic(bare, d)
+    assert back.isomorphic and maps_blocks(bare, d, back.witness)
 
 
 def test_iso_reflexive_and_symmetric(design_ex1_1):
@@ -294,3 +316,17 @@ def test_search_cut_by_its_deadline_caches_neither(monkeypatch):
     assert "aut_group" not in d._cache and "canonical_key" not in d._cache
     monkeypatch.undo()
     assert automorphism_order(d) == (756000, True)
+
+
+@pytest.mark.parametrize("ids", [FINGERPRINT_SHARING_PAIRS[0], ("ex2-1", None)],
+                         ids=["non-isomorphic", "relabeled"])
+def test_iso_leaves_both_searches_cached(monkeypatch, ids):
+    a = fresh_design(ids[0])
+    b = (fresh_design(ids[1]) if ids[1]
+         else relabel(fresh_design(ids[0]), np.random.default_rng(3).permutation(126)))
+    assert are_isomorphic(a, b).isomorphic == (ids[1] is None)
+    monkeypatch.setattr(isomorph, "_refine", _refine_raises)
+    for d in (a, b):
+        assert automorphism_generators(d)[0].complete
+        canonical_key(d)
+    assert are_isomorphic(a, b).isomorphic == (ids[1] is None)

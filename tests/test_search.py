@@ -15,6 +15,7 @@ from unitals.search import (
     PartialFamily,
     SearchBudget,
     SearchStats,
+    _candidates_by_delta,
     _stabilized_candidates,
     complete_family,
     search_families,
@@ -237,14 +238,14 @@ def test_completion_pins_hold_on_searched_and_fresh_groups(entry_id, removed, mo
 
 def test_stabilized_candidates_built_once_per_group(monkeypatch):
     g = entry("sg126-10-1").group()
-    cands = _stabilized_candidates(g)
+    by_delta = _candidates_by_delta(g)
 
     def no_build(*args):
         raise AssertionError("search tables rebuilt")
 
     monkeypatch.setattr(search, "subgroups_of_order", no_build)
     monkeypatch.setattr(search, "block_differences", no_build)
-    assert _stabilized_candidates(g) is cands
+    assert _candidates_by_delta(g) is by_delta
     e = entry("sg126-10-5")
     assert complete_family(g, PartialFamily(Mode.TRANSITIVE, e.base_blocks))
 
@@ -301,10 +302,10 @@ def test_mask_branches_pinned(entry_id, removed, max_nodes, nodes, hit, found):
      (0, 19, 112, 115, 118, 120)),
 ])
 def test_stabilized_candidates_order_pinned(entry_id, count, head, last):
-    cands = _stabilized_candidates(entry(entry_id).group())
-    assert len(cands) == count
-    assert [c.block for c in cands[:3]] + [cands[-1].block] == head + [last]
-    assert all(c.covered.sum() == 5 for c in cands[:3])
+    blocks, covered = _stabilized_candidates(entry(entry_id).group())
+    assert len(blocks) == len(covered) == count
+    assert [tuple(b) for b in blocks[[0, 1, 2, -1]].tolist()] == head + [last]
+    assert covered[:3].sum(axis=1).tolist() == [5, 5, 5]
 
 
 @pytest.mark.parametrize("order, mode", [(125, Mode.TRANSITIVE), (126, Mode.ONE_ROTATIONAL),
