@@ -114,11 +114,20 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.is_steiner else EXIT_MISMATCH
 
 
+def _verified_design(entry):
+    """The entry's developed design, or None, with the reason on stderr, when
+    it does not verify as S(2,6,126)."""
+    design = develop(entry.group(), entry.family())
+    if verify_steiner(design).is_steiner:
+        return design
+    print("design does not verify as S(2,6,126)", file=sys.stderr)
+    return None
+
+
 def _cmd_fingerprint(args) -> int:
     entry = cat.load_entry(args.family)
-    design = develop(entry.group(), entry.family())
-    if not verify_steiner(design).is_steiner:
-        print("design does not verify as S(2,6,126)", file=sys.stderr)
+    design = _verified_design(entry)
+    if design is None:
         return EXIT_MISMATCH
     fp = fingerprint(design)
     if args.json:
@@ -141,8 +150,9 @@ def _cmd_develop(args) -> int:
 
 def _cmd_iso(args) -> int:
     ea, eb = cat.load_entry(args.a), cat.load_entry(args.b)
-    da = develop(ea.group(), ea.family())
-    db = develop(eb.group(), eb.family())
+    da, db = _verified_design(ea), _verified_design(eb)
+    if da is None or db is None:
+        return EXIT_MISMATCH
     result = are_isomorphic(da, db)
     if args.json:
         print(json.dumps({"a": ea.id, "b": eb.id,
@@ -161,7 +171,9 @@ def _cmd_iso(args) -> int:
 
 def _cmd_aut(args) -> int:
     entry = cat.load_entry(args.family)
-    design = develop(entry.group(), entry.family())
+    design = _verified_design(entry)
+    if design is None:
+        return EXIT_MISMATCH
     count = automorphism_order(design)
     if args.json:
         print(json.dumps({"id": entry.id, "order": count.order,

@@ -36,28 +36,54 @@ class OrderedPartition:
 
 
 def _pair_codes(design: Design) -> np.ndarray:
-    """(n, n) canonical rank of each point pair's symmetrized pair profile."""
+    """(n, n) canonical rank of each point pair's symmetrized pair profile.
+
+    The symmetrized profile of (x, y) is the row pairs[x, y] followed by
+    pairs[y, x].  It is ranked in two steps: first every one-way row
+    pairs[x, y] by itself, then every pair (half[x, y], half[y, x]) of those
+    ranks.  Rows joined end to end compare as their first halves, then their
+    second halves, and one ranking of all one-way rows orders the halves as the
+    rows do, since it is taken over the set that both halves are drawn from; so
+    the two steps give the same ranks as ranking the joined rows at once.
+    """
     codes = design._cache.get("pair_codes")
     if codes is None:
         pairs = pair_histograms(design)
-        sym = np.concatenate([pairs, pairs.transpose(1, 0, 2)], axis=2)
-        codes, _ = _rank_rows(sym.reshape(design.n_points ** 2, -1))
-        codes = design._cache["pair_codes"] = codes.reshape(pairs.shape[:2])
+        n = design.n_points
+        half, _ = _rank_rows(pairs.reshape(n * n, -1))
+        half = half.reshape(n, n)
+        codes, _ = _rank_rows(np.stack([half, half.T], axis=2).reshape(n * n, 2))
+        codes = design._cache["pair_codes"] = codes.reshape(n, n)
     return codes
 
 
 def _rank_rows(rows: np.ndarray) -> tuple:
     """(codes, n_codes): canonical rank of each row under lexicographic order.
 
-    The rows are shifted to be non-negative and stored big-endian in the
-    smallest unsigned dtype that holds them, so comparing two rows' bytes
-    compares the rows lexicographically; np.unique ranks one void per row.
+    The rows are shifted to be non-negative, and b is the bit length of the
+    largest entry.  When b times the row width is at most 63, each row is
+    packed big-endian into one int64: column j fills its own b-bit field, the
+    first column the highest.  No entry reaches 2^b, so no field carries into
+    the next; the highest field in which two keys differ is then the first
+    column in which the rows differ, and it decides the integer comparison,
+    so integer order is lexicographic row order.  Wider rows are stored
+    big-endian in the smallest unsigned dtype that holds their entries and
+    compared as one void per row, whose bytes compare the same way.  np.unique
+    ranks the keys.
     """
     shifted = np.subtract(rows, rows.min(), dtype=np.int64)
-    dtype = np.min_scalar_type(int(shifted.max())).newbyteorder(">")
-    packed = np.ascontiguousarray(shifted.astype(dtype))
-    keys = packed.view(np.dtype((np.void, packed.itemsize * packed.shape[1])))
-    uniq, codes = np.unique(keys.ravel(), return_inverse=True)
+    top = int(shifted.max())
+    b = top.bit_length()
+    if b * shifted.shape[1] <= 63:
+        keys = shifted[:, 0].copy()
+        for column in shifted.T[1:]:
+            keys <<= b
+            keys |= column
+    else:
+        dtype = np.min_scalar_type(top).newbyteorder(">")
+        packed = np.ascontiguousarray(shifted.astype(dtype))
+        keys = packed.view(np.dtype((np.void, packed.itemsize * packed.shape[1]))).ravel()
+    uniq, codes = np.unique(keys, return_inverse=True)
     return codes.astype(np.int64, copy=False), len(uniq)
 
 

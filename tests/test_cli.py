@@ -101,6 +101,36 @@ def test_aut_prints_order(capsys):
     assert int(out.strip()) % 125 == 0
 
 
+def unverified_ex1_1(tmp_path):
+    """ex1-1 with 74 changed to 75 in its first base block: no S(2,6,126)."""
+    obj = entry_to_json(entry("ex1-1"))
+    assert obj["base_blocks"][0][5] == 74
+    obj["base_blocks"][0][5] = 75
+    p = tmp_path / "unverified.json"
+    p.write_text(json.dumps(obj))
+    return str(p)
+
+
+@pytest.mark.parametrize("argv", [["aut"], ["aut", "--json"], ["fingerprint"]])
+def test_unverified_family_exits_1(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *argv, unverified_ex1_1(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert err == "design does not verify as S(2,6,126)\n"
+
+
+@pytest.mark.parametrize("bad_side", ["a", "b", "both"])
+def test_iso_unverified_family_exits_1(capsys, tmp_path, bad_side):
+    bad, good = unverified_ex1_1(tmp_path), path_of("ex1-1")
+    a = bad if bad_side in ("a", "both") else good
+    b = bad if bad_side in ("b", "both") else good
+    code, out, err = run(capsys, "iso", a, b)
+    assert code == 1
+    assert out == ""
+    assert "design does not verify as S(2,6,126)" in err
+    assert "error:" not in err
+
+
 def test_catalog_check_filter(capsys):
     code, out, err = run(capsys, "catalog", "check", "--filter", "ex1-*")
     assert code == 0

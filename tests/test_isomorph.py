@@ -7,7 +7,7 @@ from conftest import design_of, entry
 from unitals import isomorph
 from unitals.catalog import FINGERPRINT_SHARING_PAIRS
 from unitals.designs import Design, develop, is_block_invariant, maps_blocks, relabel
-from unitals.fingerprint import fingerprint
+from unitals.fingerprint import fingerprint, pair_histograms
 from unitals.isomorph import (
     are_isomorphic,
     automorphism_generators,
@@ -176,10 +176,15 @@ def lexsort_rank_rows(rows):
     ((40, 2), -2**40, 2**40, np.int64),  # span above 2^32
     ((90, 6), -100, 100, np.int8),       # span above the dtype's own range
     ((70, 3), -40000, 40000, np.int32),
+    ((120, 7), 0, 2**9, np.int64),       # 7 columns of 9 bits: 63, packed
+    ((120, 8), 0, 2**8, np.int64),       # 8 columns of 8 bits: 64, void view
+    ((60, 1), -2**61, 2**61, np.int64),  # one column spanning close to 2^62
 ])
 def test_rank_rows_matches_lexsort(shape, lo, hi, dtype):
     rng = np.random.default_rng(shape)
     rows = rng.integers(lo, hi, size=shape).astype(dtype)
+    if shape[1] in (7, 8):  # the draw spans every bit: rows 63 and 64 bits wide
+        assert int(np.ptp(rows)).bit_length() == {7: 9, 8: 8}[shape[1]]
     for rows in (rows, np.concatenate([rows, rows[::3]])):  # also with repeated rows
         got = isomorph._rank_rows(rows)
         want = lexsort_rank_rows(rows.astype(np.int64))
@@ -204,6 +209,30 @@ def test_rank_rows_matches_lexsort_on_classical_refinement(monkeypatch):
     assert automorphism_order(fresh_design("ex3-1")) == (756000, True)
     assert len(calls) > 1000
     assert {cols for _, cols in calls} >= {1, 6}
+
+
+def bare_relabeled(entry_id, seed):
+    """A relabeled copy of the entry's design, built from its blocks alone, so
+    without an action."""
+    copy = relabel(design_of(entry_id), np.random.default_rng(seed).permutation(126))
+    d = Design.from_blocks(copy.blocks, 126, copy.labels)
+    assert d.action is None
+    return d
+
+
+@pytest.mark.parametrize("make", [lambda: fresh_design("ex1-1"),
+                                  lambda: bare_relabeled("ex3-1", 3)],
+                         ids=["ex1-1", "ex3-1-relabeled-no-action"])
+def test_pair_codes_match_one_step_ranking(make):
+    """The two-step pair codes equal the ranks of pairs[x, y] joined to
+    pairs[y, x], all ten columns ranked at once by the lexsort oracle."""
+    d = make()
+    pairs = pair_histograms(d)
+    sym = np.concatenate([pairs, pairs.transpose(1, 0, 2)], axis=2)
+    want = lexsort_rank_rows(sym.reshape(126 * 126, -1))[0].reshape(126, 126)
+    codes = isomorph._pair_codes(d)
+    assert np.array_equal(codes, want)
+    assert len(np.unique(codes)) > 1
 
 
 # |Aut| and canonical key of one entry per list, recorded before the
@@ -237,9 +266,7 @@ def test_aut_order_and_key_pinned(entry_id):
 
 def test_classical_unital_relabeled_has_full_group():
     """Relabeled blocks without an action leave no translations to seed with."""
-    copy = relabel(design_of("ex3-1"), np.random.default_rng(7).permutation(126))
-    d = Design.from_blocks(copy.blocks, 126, copy.labels)
-    assert d.action is None
+    d = bare_relabeled("ex3-1", 7)
     count, gens = automorphism_generators(d)
     assert count == (756000, True)
     assert all(is_block_invariant(d, g) for g in gens)
