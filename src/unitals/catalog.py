@@ -110,10 +110,12 @@ def entry_from_json(obj: dict, path: Path | None = None) -> CatalogEntry:
     fp = obj["expected_fingerprint"]
     if not isinstance(fp, dict):
         raise SchemaError("expected_fingerprint must be an object")
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in fp.values()):
+        raise SchemaError("expected_fingerprint values must be integers")
     try:
-        fpd = {int(k): int(v) for k, v in fp.items()}
+        fpd = {int(k): v for k, v in fp.items()}
     except (ValueError, TypeError, OverflowError):
-        raise SchemaError("expected_fingerprint keys/values must be integers") from None
+        raise SchemaError("expected_fingerprint keys must be integers") from None
     # a count is a number of points u on line oy other than o and y
     if any(not 0 <= k <= BLOCK_SIZE - 2 or v < 0 for k, v in fpd.items()):
         raise SchemaError(f"expected_fingerprint needs counts in 0..{BLOCK_SIZE - 2} "

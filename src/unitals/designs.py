@@ -7,6 +7,8 @@ transitive mode (|G| = 126) the points are exactly the group elements.
 
 A design's blocks are one sorted int array, ``Design.block_rows``, which every
 pair index and block-image check reads; ``relabel`` conjugates the action.
+Every lexicographic order of rows, here and in the modules that import this
+one, is taken through ``row_keys``.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ class Design:
         _check_points(rows, real, n_points)
         rows[~real] = -1
         labels = range(n_points) if labels is None else labels
-        return cls(n_points, rows[_row_order(rows)], labels)
+        return cls(n_points, rows[np.argsort(row_keys(rows), kind="stable")], labels)
 
     @property
     def block_count(self) -> int:
@@ -199,20 +201,41 @@ def develop_blocks(group: CayleyGroup, base_blocks: Sequence[Sequence[int]],
     return Design(n_points, rows, labels, action)
 
 
-def _row_order(rows: np.ndarray) -> np.ndarray:
-    """Stable permutation that puts the rows of a 2-D array in lexicographic
-    order; rows of width 0 are all equal and keep their order."""
-    return np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """One key per row of a 2-D integer array, ordered as the rows are in
+    lexicographic order; equal keys mean equal rows.
+
+    The rows are shifted to be non-negative, and b is the bit length of the
+    largest entry.  When b times the row width is at most 63, each row is
+    packed big-endian into one int64: column j fills its own b-bit field, the
+    first column the highest.  No entry reaches 2^b, so no field carries into
+    the next; the highest field in which two keys differ is then the first
+    column in which the rows differ, and it decides the integer comparison,
+    so integer order is lexicographic row order.  Wider rows are stored
+    big-endian in the smallest unsigned dtype that holds their entries and
+    compared as one void per row, whose bytes compare the same way.  An empty
+    array gives zeros: rows of width 0 are all equal.
+    """
+    if rows.size == 0:
+        return np.zeros(len(rows), dtype=np.int64)
+    shifted = np.subtract(rows, rows.min(), dtype=np.int64)
+    top = int(shifted.max())
+    b = top.bit_length()
+    if b * shifted.shape[1] <= 63:
+        keys = shifted[:, 0].copy()
+        for column in shifted.T[1:]:
+            keys <<= b
+            keys |= column
+        return keys
+    dtype = np.min_scalar_type(top).newbyteorder(">")
+    packed = np.ascontiguousarray(shifted.astype(dtype))
+    return packed.view(np.dtype((np.void, packed.itemsize * packed.shape[1]))).ravel()
 
 
 def first_rows(rows: np.ndarray) -> np.ndarray:
     """Index of the first occurrence of each distinct row, the rows taken in
     lexicographic order: rows[first_rows(rows)] is np.unique(rows, axis=0)."""
-    order = _row_order(rows)
-    ordered = rows[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    return order[first]
+    return np.unique(row_keys(rows), return_index=True)[1]
 
 
 @dataclass
@@ -279,14 +302,12 @@ def relabel(design: Design, permutation: Sequence[int]) -> Design:
     n = design.n_points
     if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
         raise NotAPermutation(f"not a bijection on 0..{n - 1}")
-    rows = np.sort(np.append(perm, n)[design.block_rows], axis=1)  # padding -> n, last
-    rows[rows == n] = -1
     labels = (design.labels[p] for p in np.argsort(perm).tolist())
     action = design.action
     if action is not None:
         action = np.empty_like(action)
         action[:, perm] = perm[design.action]
-    return Design(n, rows[_row_order(rows)], labels, action)
+    return Design(n, block_image(design, perm), labels, action)
 
 
 def translation_permutation(group: CayleyGroup, g: int, one_rotational: bool) -> np.ndarray:
@@ -297,24 +318,18 @@ def translation_permutation(group: CayleyGroup, g: int, one_rotational: bool) ->
     return perm
 
 
-def block_image(design: Design, perm: Sequence[int]) -> tuple:
-    """(image, keys): row i of image is block i mapped by perm, points
-    ascending, padding last as n; keys[i] reads it as base-(n + 1) digits, so
-    keys sort rows lexicographically and equal sorted keys mean equal blocks."""
+def block_image(design: Design, perm: Sequence[int]) -> np.ndarray:
+    """The blocks mapped by perm, in ``Design.block_rows`` form: each row's
+    points ascending, then -1 padding, rows in lexicographic order."""
     n = design.n_points
-    image = np.sort(np.append(perm, n)[design.block_rows], axis=1)
-    if (n + 1) ** image.shape[1] > np.iinfo(np.int64).max:
-        raise ValueError(f"blocks of {image.shape[1]} points have no int64 key")
-    weights = (n + 1) ** np.arange(image.shape[1] - 1, -1, -1, dtype=np.int64)
-    return image, image @ weights
+    image = np.sort(np.append(perm, n)[design.block_rows], axis=1)  # padding -> n, last
+    image[image == n] = -1
+    return image[np.argsort(row_keys(image), kind="stable")]
 
 
 def maps_blocks(a: Design, b: Design, perm: Sequence[int]) -> bool:
     """Does the point map perm send the blocks of a onto those of b?"""
-    own = b._cache.get("block_keys")
-    if own is None:
-        own = b._cache["block_keys"] = np.sort(block_image(b, np.arange(b.n_points))[1])
-    return bool(np.array_equal(np.sort(block_image(a, perm)[1]), own))
+    return np.array_equal(block_image(a, perm), b.block_rows)
 
 
 def is_block_invariant(design: Design, perm: Sequence[int]) -> bool:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import BLOCK_SIZE, DifferenceFamily, Mode, resolve_family
+from .designs import BLOCK_SIZE, DifferenceFamily, Mode, first_rows, resolve_family
 from .errors import IndexOutOfRange
 from .groups import CayleyGroup
 
@@ -129,7 +129,7 @@ def check_difference_family(group: CayleyGroup, family: DifferenceFamily) -> Dif
         inf_blocks = [f for f, _, _ in per_block if len(f) < BLOCK_SIZE]
         translates = group.table[:, np.asarray(inf_blocks, dtype=np.int64)]  # [g, i] = g*B_i
         translates = np.sort(translates.reshape(-1, BLOCK_SIZE - 1), axis=1)
-        covered = np.bincount(np.unique(translates, axis=0).ravel(), minlength=n)
+        covered = np.bincount(translates[first_rows(translates)].ravel(), minlength=n)
         bad = np.nonzero(covered != 1)[0]
         for x in bad[:10]:
             defects.append(

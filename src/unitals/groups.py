@@ -185,7 +185,9 @@ def _spec_from_json(obj) -> GroupSpec:
         raise ParseError(f"bad group spec: {obj!r}")
     (kind, val), = obj.items()
     if kind == "cyclic":
-        return Cyclic(int(val))
+        if isinstance(val, bool) or not isinstance(val, int):
+            raise ParseError(f"cyclic order must be an integer, got {val!r}")
+        return Cyclic(val)
     if kind == "product":
         left, right = val
         return Product(spec_from_json(left), spec_from_json(right))
@@ -535,5 +537,5 @@ def subgroups_of_order(group: CayleyGroup, k: int) -> list:
         g, h = g[i, 0], h[0, j]
         g2 = t[g, g]
         subs.append(np.stack([np.full(len(g), e), g, g2, h, t[g, h], t[g2, h]], axis=1))
-    found = np.unique(np.sort(np.concatenate(subs), axis=1), axis=0)
-    return [frozenset(sub) for sub in found.tolist()]
+    found = sorted(set(map(tuple, np.sort(np.concatenate(subs), axis=1).tolist())))
+    return [frozenset(sub) for sub in found]

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .designs import Design, block_image, is_block_invariant, maps_blocks
+from .designs import Design, block_image, is_block_invariant, maps_blocks, row_keys
 from .fingerprint import fingerprint, pair_histograms, point_histograms
 
 
@@ -58,32 +58,9 @@ def _pair_codes(design: Design) -> np.ndarray:
 
 
 def _rank_rows(rows: np.ndarray) -> tuple:
-    """(codes, n_codes): canonical rank of each row under lexicographic order.
-
-    The rows are shifted to be non-negative, and b is the bit length of the
-    largest entry.  When b times the row width is at most 63, each row is
-    packed big-endian into one int64: column j fills its own b-bit field, the
-    first column the highest.  No entry reaches 2^b, so no field carries into
-    the next; the highest field in which two keys differ is then the first
-    column in which the rows differ, and it decides the integer comparison,
-    so integer order is lexicographic row order.  Wider rows are stored
-    big-endian in the smallest unsigned dtype that holds their entries and
-    compared as one void per row, whose bytes compare the same way.  np.unique
-    ranks the keys.
-    """
-    shifted = np.subtract(rows, rows.min(), dtype=np.int64)
-    top = int(shifted.max())
-    b = top.bit_length()
-    if b * shifted.shape[1] <= 63:
-        keys = shifted[:, 0].copy()
-        for column in shifted.T[1:]:
-            keys <<= b
-            keys |= column
-    else:
-        dtype = np.min_scalar_type(top).newbyteorder(">")
-        packed = np.ascontiguousarray(shifted.astype(dtype))
-        keys = packed.view(np.dtype((np.void, packed.itemsize * packed.shape[1]))).ravel()
-    uniq, codes = np.unique(keys, return_inverse=True)
+    """(codes, n_codes): canonical rank of each row under lexicographic order,
+    np.unique's ranking of the rows' ``row_keys``."""
+    uniq, codes = np.unique(row_keys(rows), return_inverse=True)
     return codes.astype(np.int64, copy=False), len(uniq)
 
 
@@ -281,8 +258,7 @@ def _search(design: Design, deadline: float) -> tuple:
 
     def leaf(partition: OrderedPartition, inv_path: tuple) -> bool:
         # discrete: cell index = new point name
-        image, keys = block_image(design, partition.cell_ids)
-        cand = (inv_path, image[np.argsort(keys)].astype(np.int16).tobytes())
+        cand = (inv_path, block_image(design, partition.cell_ids).astype(np.int16).tobytes())
         if not leaves:
             leaves["first"] = leaves["best"] = cand + (partition.cell_ids,)
             return False

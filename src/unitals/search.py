@@ -110,7 +110,8 @@ def _stabilized_candidates(group: CayleyGroup) -> tuple:
         combos = np.array(combos, dtype=np.int64).reshape(len(combos), r)
         for sub in subgroups_of_order(group, s):
             sub = np.array(sorted(sub))
-            cosets = np.unique(np.sort(group.table[sub].T, axis=1), axis=0)  # rows S*x
+            cosets = np.sort(group.table[sub].T, axis=1)  # rows S*x
+            cosets = cosets[first_rows(cosets)]
             extra = cosets[(cosets != group.identity).all(axis=1)][combos]
             rows.append(np.hstack([np.broadcast_to(sub, (len(combos), s)),
                                    extra.reshape(len(combos), r * s)]))

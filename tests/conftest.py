@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from unitals import search
 from unitals.catalog import catalog_dir, load_entry
-from unitals.designs import develop, resolve_family
+from unitals.designs import develop, first_rows, resolve_family
 
 
 def entry(entry_id: str):
@@ -24,6 +25,14 @@ def design_of(entry_id: str):
         got = develop(e.group(), e.family())
         _design_cache[entry_id] = got
     return got
+
+
+def assert_first_rows_match_unique(rows):
+    """first_rows against np.unique(axis=0, return_index=True), the oracle."""
+    first = first_rows(rows)
+    unique, index = np.unique(rows, axis=0, return_index=True)
+    assert np.array_equal(rows[first], unique)
+    assert np.array_equal(first, index)  # the first of equal rows
 
 
 def emit_ex1_1(monkeypatch):

@@ -86,6 +86,21 @@ def test_schema_rejects_missing_key(ex1_1):
         entry_from_json(obj)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("group", {"cyclic": 125.9}),
+    ("group", {"cyclic": "125"}),
+    ("group", {"cyclic": True}),
+    ("expected_fingerprint", {"1": 25000.9, "2": 580500, "3": 3042000, "4": 3912500}),
+    ("expected_fingerprint", {"1": 25000.0, "2": 580500, "3": 3042000, "4": 3912500}),
+    ("expected_fingerprint", {"0": True, "1": 24999, "2": 580500, "3": 3042000, "4": 3912500}),
+])
+def test_schema_rejects_non_integer_numbers(ex1_1, field, value):
+    obj = entry_to_json(ex1_1)
+    obj[field] = value
+    with pytest.raises(SchemaError):
+        entry_from_json(obj)
+
+
 def test_all_shipped_fingerprints_sum():
     # loading enforces the sum invariant; load everything
     for p in iter_entry_paths():

@@ -396,6 +396,8 @@ def test_group_validate_huge_header_exits_1(capsys, tmp_path):
     ("base_blocks", [5]),
     ("candidates", 5),
     ("expected_fingerprint", {"1": None}),
+    ("expected_fingerprint", {"1": 25000.9, "2": 580500, "3": 3042000, "4": 3912500}),
+    ("group", {"cyclic": 125.9}),
     # sums to 7,560,000, but has a count outside 0..4 and a negative frequency
     ("expected_fingerprint", {"1": 25000, "2": 580500, "3": 3042000, "4": 3912501, "9": -1}),
 ])

@@ -1,12 +1,15 @@
 """Development, Steiner verification, relabeling."""
 
+import ast
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import design_of, entry
+import unitals
+from conftest import assert_first_rows_match_unique, design_of, entry
 from unitals.designs import (
     Design,
     DifferenceFamily,
@@ -19,6 +22,7 @@ from unitals.designs import (
     maps_blocks,
     relabel,
     resolve_family,
+    row_keys,
     translation_permutation,
     verify_steiner,
 )
@@ -270,13 +274,6 @@ LIST_HEADS = [f"{name}-1" for name in ("ex1", "ex2", "ex3", "ex4", "ex5", "sg126
                                        "sg126-3", "sg126-7", "sg126-8", "sg126-10", "sg126-12")]
 
 
-def _assert_first_rows_match_unique(rows):
-    first = first_rows(rows)
-    unique, index = np.unique(rows, axis=0, return_index=True)
-    assert np.array_equal(rows[first], unique)
-    assert np.array_equal(first, index)  # the first of equal rows
-
-
 @pytest.mark.parametrize("name", LIST_HEADS + ["shrunk", "duplicates", "ragged"])
 def test_first_rows_agrees_with_numpy_unique(name):
     rng = np.random.default_rng(5)
@@ -287,5 +284,42 @@ def test_first_rows_agrees_with_numpy_unique(name):
         assert np.array_equal(d.block_rows, np.unique(rows, axis=0))
     else:
         rows = _malformed_designs()[name][0].block_rows
-    _assert_first_rows_match_unique(rows)
-    _assert_first_rows_match_unique(rows[rng.permutation(len(rows))])
+    assert_first_rows_match_unique(rows)
+    assert_first_rows_match_unique(rows[rng.permutation(len(rows))])
+
+
+@pytest.mark.parametrize("shape", [(0, 6), (0, 0), (4, 0)])
+def test_first_rows_of_empty_arrays(shape):
+    assert_first_rows_match_unique(np.zeros(shape, dtype=np.int64))
+
+
+def test_blocks_on_2000_points_map_and_relabel():
+    """Rows of points below 2000 need 6 * 11 bits, so their keys take the
+    void view, in from_blocks, block_image and relabel alike."""
+    rng = np.random.default_rng(13)
+    blocks = rng.permutation(2000)[:333 * 6].reshape(333, 6).tolist()
+    d = Design.from_blocks(blocks, 2000)
+    assert row_keys(d.block_rows).dtype.kind == "V"
+    assert list(d.blocks) == sorted(tuple(sorted(b)) for b in blocks)
+    assert is_block_invariant(d, np.arange(2000))
+    perm = rng.permutation(2000)
+    assert not is_block_invariant(d, perm)
+    copy = relabel(d, perm)
+    assert list(copy.blocks) == sorted(tuple(sorted(int(perm[p]) for p in b)) for b in blocks)
+    assert maps_blocks(d, copy, perm) and maps_blocks(copy, d, np.argsort(perm))
+    assert not maps_blocks(d, copy, np.roll(perm, 1))
+
+
+def test_src_orders_rows_only_through_row_keys():
+    """No module orders or dedupes rows by np.lexsort or by np.unique over an
+    axis: lexicographic row order is designs.row_keys alone."""
+    found = []
+    for path in sorted(Path(unitals.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "lexsort":
+                found.append(f"{path.name}:{node.lineno} lexsort")
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "unique"
+                    and any(k.arg == "axis" for k in node.keywords)):
+                found.append(f"{path.name}:{node.lineno} unique over an axis")
+    assert not found

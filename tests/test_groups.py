@@ -214,6 +214,18 @@ def test_catalog_group_label_bijections():
             assert parse_element_label(format_element_label(lab)) == lab
 
 
+@pytest.mark.parametrize("spec", [
+    {"cyclic": 125.9},
+    {"cyclic": 125.0},
+    {"cyclic": "125"},
+    {"cyclic": True},
+    {"product": [{"cyclic": 5}, {"cyclic": 25.0}]},
+])
+def test_spec_from_json_rejects_non_integer_orders(spec):
+    with pytest.raises(ParseError):
+        spec_from_json(spec)
+
+
 def test_spec_json_round_trip():
     for spec in [Cyclic(125), Z25_X_Z5, Z5SQ_X_Z5, External("tables/sg126_1.txt")]:
         assert spec_from_json(spec_to_json(spec)) == spec

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import design_of, entry
+from conftest import assert_first_rows_match_unique, design_of, entry
 from unitals import isomorph
 from unitals.catalog import FINGERPRINT_SHARING_PAIRS
 from unitals.designs import Design, develop, is_block_invariant, maps_blocks, relabel
@@ -189,6 +189,7 @@ def test_rank_rows_matches_lexsort(shape, lo, hi, dtype):
         got = isomorph._rank_rows(rows)
         want = lexsort_rank_rows(rows.astype(np.int64))
         assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        assert_first_rows_match_unique(rows)
 
 
 def test_rank_rows_matches_lexsort_on_classical_refinement(monkeypatch):
