@@ -112,14 +112,14 @@ def entry_from_json(obj: dict, path: Path | None = None) -> CatalogEntry:
         raise SchemaError("expected_fingerprint must be an object")
     if any(isinstance(v, bool) or not isinstance(v, int) for v in fp.values()):
         raise SchemaError("expected_fingerprint values must be integers")
-    try:
-        fpd = {int(k): v for k, v in fp.items()}
-    except (ValueError, TypeError, OverflowError):
-        raise SchemaError("expected_fingerprint keys must be integers") from None
-    # a count is a number of points u on line oy other than o and y
-    if any(not 0 <= k <= BLOCK_SIZE - 2 or v < 0 for k, v in fpd.items()):
-        raise SchemaError(f"expected_fingerprint needs counts in 0..{BLOCK_SIZE - 2} "
-                          "and nonnegative frequencies")
+    # a count is a number of points u on line oy other than o and y; a key is
+    # its exact decimal text, so "04", " 4" or "+4" cannot name a count twice
+    counts = {str(c): c for c in range(BLOCK_SIZE - 1)}
+    for k, v in fp.items():
+        if k not in counts or v < 0:
+            raise SchemaError(f"expected_fingerprint item {k!r}: {v} needs a count key "
+                              f"0..{BLOCK_SIZE - 2} in canonical form and a nonnegative value")
+    fpd = {counts[k]: v for k, v in fp.items()}
     if sum(fpd.values()) != TOTAL_QUADRUPLES:
         raise SumInvariantError(
             f"expected fingerprint sums to {sum(fpd.values())}, not {TOTAL_QUADRUPLES}")

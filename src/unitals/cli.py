@@ -49,29 +49,35 @@ def _parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("verify", help="develop a family and check S(2,6,126)")
+    sp.set_defaults(run=_cmd_verify)
     sp.add_argument("family", type=Path)
     sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("fingerprint", help="compute the hyperbolic frequency fingerprint")
+    sp.set_defaults(run=_cmd_fingerprint)
     sp.add_argument("family", type=Path)
     sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("develop", help="write the 525 developed blocks to a file")
+    sp.set_defaults(run=_cmd_develop)
     sp.add_argument("family", type=Path)
     sp.add_argument("--out", type=Path, required=True)
 
     sp = sub.add_parser("iso", help="decide isomorphism of two developed designs")
+    sp.set_defaults(run=_cmd_iso)
     sp.add_argument("a", type=Path)
     sp.add_argument("b", type=Path)
     sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("aut", help="order of the full automorphism group")
+    sp.set_defaults(run=_cmd_aut)
     sp.add_argument("family", type=Path)
     sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("catalog", help="operations on the shipped catalog")
     catsub = sp.add_subparsers(dest="catalog_command", required=True)
     cp = catsub.add_parser("check", help="reproduce entries and compare fingerprints")
+    cp.set_defaults(run=_cmd_catalog_check)
     cp.add_argument("--filter", default=None, help="id glob, e.g. 'ex1-*'")
     cp.add_argument("--required", action="store_true",
                     help="only the fully transcribed required lists")
@@ -79,6 +85,7 @@ def _parser() -> argparse.ArgumentParser:
     cp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("search", help="bounded difference-family search")
+    sp.set_defaults(run=_cmd_search)
     sp.add_argument("--group", type=Path, required=True,
                     help="JSON file holding a group spec")
     sp.add_argument("--mode", required=True,
@@ -91,6 +98,7 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("group", help="group-layer utilities")
     gsub = sp.add_subparsers(dest="group_command", required=True)
     gp = gsub.add_parser("validate", help="validate a Cayley table file")
+    gp.set_defaults(run=_cmd_group_validate)
     gp.add_argument("table", type=Path)
     return p
 
@@ -271,26 +279,10 @@ def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "fingerprint":
-            return _cmd_fingerprint(args)
-        if args.command == "develop":
-            return _cmd_develop(args)
-        if args.command == "iso":
-            return _cmd_iso(args)
-        if args.command == "aut":
-            return _cmd_aut(args)
-        if args.command == "catalog":
-            return _cmd_catalog_check(args)
-        if args.command == "search":
-            return _cmd_search(args)
-        if args.command == "group":
-            return _cmd_group_validate(args)
+        return args.run(args)
     except (OSError, UnitalsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

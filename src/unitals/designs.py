@@ -24,7 +24,6 @@ from .errors import (
     LabelNotInGroup,
     ModeOrderMismatch,
     NotAPermutation,
-    SamePoint,
     SchemaError,
 )
 from .groups import INF, CayleyGroup, ElementLabel, format_element_label
@@ -283,16 +282,6 @@ def verify_steiner(design: Design) -> VerificationReport:
     )
     design._cache["steiner_ok"] = is_steiner
     return VerificationReport(is_steiner, design.block_count, defects, duplicates)
-
-
-def line_through(design: Design, p: int, q: int) -> int:
-    """Index of the unique block containing both points (O(1) lookup)."""
-    if p == q:
-        raise SamePoint(f"line_through needs two distinct points, got {p} twice")
-    n = design.n_points
-    if not (0 <= p < n and 0 <= q < n):
-        raise SamePoint(f"points ({p}, {q}) out of range")
-    return int(design.line_of[p, q])
 
 
 def relabel(design: Design, permutation: Sequence[int]) -> Design:

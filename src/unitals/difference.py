@@ -46,40 +46,17 @@ def block_differences(group: CayleyGroup, blocks) -> tuple:
     return counts, stabs
 
 
-def left_stabilizer_order(group: CayleyGroup, block: list) -> int:
-    """|{h : h*B = B}| for a set of group elements."""
-    return int(block_differences(group, [block])[1][0])
-
-
-@dataclass
-class DifferenceCoverage:
-    """counts[d] = ordered pairs (a, b), a != b, with b^-1 a = d (finite labels)."""
-
-    counts: np.ndarray  # (|G|,) int64
-    per_block: list  # per base block: (finite part, stabilizer order, counts)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-def difference_coverage(group: CayleyGroup, family: DifferenceFamily) -> DifferenceCoverage:
-    counts = np.zeros(group.order, dtype=np.int64)
+def quotiented_coverage(group: CayleyGroup, family: DifferenceFamily) -> tuple:
+    """(per_block, quotiented, undivided).  per_block holds, for each base
+    block, (finite part, stabilizer order, counts) with counts as in
+    :func:`block_differences`; quotiented[d] is the number of distinct
+    translates covering difference d, or None with undivided the first
+    (finite part, stabilizer order) whose counts that order does not divide."""
     per_block = []
     for block in resolve_family(group, family):
         finite = [p for p in block if p != group.order]
         block_counts, stabs = block_differences(group, [finite])
-        counts += block_counts[0]
         per_block.append((finite, int(stabs[0]), block_counts[0]))
-    return DifferenceCoverage(counts, per_block)
-
-
-def quotiented_coverage(group: CayleyGroup, family: DifferenceFamily) -> tuple:
-    """(per_block, quotiented, undivided): per_block as in difference_coverage,
-    quotiented[d] the number of distinct translates covering difference d, or
-    None with undivided the first (finite part, stabilizer order) whose counts
-    that order does not divide."""
-    per_block = difference_coverage(group, family).per_block
     quotiented = np.zeros(group.order, dtype=np.int64)
     for finite, stab, block_counts in per_block:
         if (block_counts % stab != 0).any():

@@ -6,7 +6,7 @@ class UnitalsError(Exception):
 
 
 class ParseError(UnitalsError):
-    """Malformed textual input (labels, fingerprints, table files)."""
+    """Malformed input: a JSON label or group spec, or a Cayley table file."""
 
 
 class ValidationError(UnitalsError):
@@ -33,10 +33,6 @@ class ModeOrderMismatch(UnitalsError):
     """Development mode inconsistent with the group order."""
 
 
-class SamePoint(UnitalsError):
-    """line_through called with p == q."""
-
-
 class NotAPermutation(UnitalsError):
     """Relabeling map is not a bijection on the point set."""
 
@@ -51,10 +47,6 @@ class SchemaError(UnitalsError):
 
 class SumInvariantError(SchemaError):
     """Expected fingerprint frequencies do not sum to 7,560,000."""
-
-
-class DuplicateKey(ParseError):
-    """Fingerprint text repeats a count key."""
 
 
 class GroupUnavailable(UnitalsError):

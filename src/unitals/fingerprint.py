@@ -14,7 +14,7 @@ from itertools import permutations
 import numpy as np
 
 from .designs import BLOCK_SIZE, Design, verify_steiner
-from .errors import DuplicateKey, NotASteinerSystem, ParseError
+from .errors import NotASteinerSystem
 
 TOTAL_QUADRUPLES = 7_560_000  # 126*125*124 - 525*6*5*4 non-collinear triples, times 4
 #: (3, 120): the places of p, y and x for each ordered triple of distinct places of a line
@@ -44,42 +44,6 @@ class Fingerprint:
 
 def format_fingerprint(fp: Fingerprint) -> str:
     return "{" + ", ".join(f"{k}={v}" for k, v in fp.items) + "}"
-
-
-def parse_fingerprint(text: str) -> Fingerprint:
-    s = text.strip()
-    if not (s.startswith("{") and s.endswith("}")):
-        raise ParseError(f"fingerprint must be brace-delimited: {text!r}")
-    body = s[1:-1].strip()
-    if not body:
-        return Fingerprint(())
-    items = []
-    for part in body.split(","):
-        if "=" not in part:
-            raise ParseError(f"bad fingerprint item {part!r}")
-        k, v = part.split("=", 1)
-        try:
-            key, val = int(k.strip()), int(v.strip())
-        except ValueError:
-            raise ParseError(f"non-integer fingerprint item {part!r}") from None
-        items.append((key, val))
-    keys = [k for k, _ in items]
-    if len(set(keys)) != len(keys):
-        raise DuplicateKey(f"repeated count key in {text!r}")
-    if keys != sorted(keys):
-        raise ParseError(f"count keys must be ascending in {text!r}")
-    return Fingerprint(tuple((k, v) for k, v in items if v != 0))
-
-
-@dataclass(frozen=True)
-class PointProfile:
-    """Fingerprint restricted to quadruples whose triple starts at one point."""
-
-    point: int
-    items: tuple
-
-    def as_dict(self) -> dict:
-        return dict(self.items)
 
 
 def _require_steiner(design: Design) -> None:
@@ -155,14 +119,6 @@ def point_histograms(design: Design) -> np.ndarray:
 def fingerprint(design: Design) -> Fingerprint:
     hist = point_histograms(design).sum(axis=0)
     return Fingerprint(tuple((k, int(v)) for k, v in enumerate(hist) if v != 0))
-
-
-def point_profile(design: Design) -> list:
-    hist = point_histograms(design)
-    return [
-        PointProfile(o, tuple((k, int(v)) for k, v in enumerate(row) if v != 0))
-        for o, row in enumerate(hist)
-    ]
 
 
 def fingerprint_reference(design: Design) -> Fingerprint:

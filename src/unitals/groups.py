@@ -51,17 +51,9 @@ ElementLabel = Union[int, tuple, _Infinity]
 MAX_ORDER = 126
 
 
-def parse_element_label(text: str) -> ElementLabel:
-    """Parse ``"7"``, ``"(2, 13)"``, ``"((0, 1), 3)"``, ``"inf"`` or ``"∞"``."""
-    tokens = _tokenize_label(text)
-    label, pos = _parse_label_tokens(tokens, 0)
-    if pos != len(tokens):
-        raise ParseError(f"trailing input in label: {text!r}")
-    return label
-
-
 def format_element_label(label: ElementLabel, compact: bool = False) -> str:
-    """Inverse of :func:`parse_element_label` (``compact`` drops inner spaces)."""
+    """Text form of a label, for output only (``compact`` drops inner spaces
+    and writes ∞ as ``inf``); labels are read only from JSON."""
     if label is INF:
         return "inf" if compact else "∞"
     if isinstance(label, tuple):
@@ -89,56 +81,6 @@ def label_to_json(label: ElementLabel):
     if isinstance(label, tuple):
         return [label_to_json(x) for x in label]
     return int(label)
-
-
-def _tokenize_label(text: str) -> list:
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "(),":
-            tokens.append(c)
-            i += 1
-        elif c == "∞":
-            tokens.append(INF)
-            i += 1
-        elif text[i : i + 3].lower() == "inf":
-            tokens.append(INF)
-            i += 3
-        elif c.isdigit() or c == "-":
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(int(text[i:j]))
-            i = j
-        else:
-            raise ParseError(f"bad character {c!r} in label {text!r}")
-    if not tokens:
-        raise ParseError("empty label")
-    return tokens
-
-
-def _parse_label_tokens(tokens: list, pos: int):
-    tok = tokens[pos] if pos < len(tokens) else None
-    if tok is INF or isinstance(tok, int):
-        return tok, pos + 1
-    if tok == "(":
-        items = []
-        pos += 1
-        while True:
-            item, pos = _parse_label_tokens(tokens, pos)
-            items.append(item)
-            if pos >= len(tokens):
-                raise ParseError("unterminated tuple label")
-            if tokens[pos] == ",":
-                pos += 1
-                continue
-            if tokens[pos] == ")":
-                return tuple(items), pos + 1
-            raise ParseError("malformed tuple label")
-    raise ParseError(f"unexpected token {tok!r}")
 
 
 # ---------------------------------------------------------------------------

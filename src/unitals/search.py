@@ -214,7 +214,7 @@ class _Searcher:
                 covered = sum(1 << x for x in h if x != e)
                 if covered & ~uncovered:
                     continue
-                chosen.append(h + (-1,))  # -1 marks ∞
+                chosen.append(h + (self.group.order,))  # ∞'s index, as in designs
                 yield from self._extend(fixed, chosen, uncovered & ~covered, False)
                 chosen.pop()
                 if self.stats.budget_hit:
@@ -323,7 +323,7 @@ def _fixed_state(group: CayleyGroup, partial: PartialFamily):
 def _blocks_to_family(group: CayleyGroup, mode: Mode, index_blocks: list) -> DifferenceFamily:
     blocks = []
     for block in index_blocks:
-        labels = [INF if p in (-1, group.order) else group.labels[p] for p in block]
+        labels = [INF if p == group.order else group.labels[p] for p in block]
         blocks.append(labels)
     return DifferenceFamily(mode, blocks)
 

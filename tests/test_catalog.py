@@ -93,12 +93,21 @@ def test_schema_rejects_missing_key(ex1_1):
     ("expected_fingerprint", {"1": 25000.9, "2": 580500, "3": 3042000, "4": 3912500}),
     ("expected_fingerprint", {"1": 25000.0, "2": 580500, "3": 3042000, "4": 3912500}),
     ("expected_fingerprint", {"0": True, "1": 24999, "2": 580500, "3": 3042000, "4": 3912500}),
+    # count keys that are not the exact text of a count; "04" after "4" would
+    # replace it, and before it would be replaced
+    ("expected_fingerprint", {"1": 25000, "2": 580500, "3": 3042000, "04": 0, "4": 3912500}),
+    ("expected_fingerprint", {"1": 25000, "2": 580500, "3": 3042000, " 4": 3912500}),
+    ("expected_fingerprint", {"1": 25000, "2": 580500, "3": 3042000, "+4": 3912500}),
+    ("expected_fingerprint", {"1": 25000, "2": 580500, "3": 3042000, "4.0": 3912500}),
 ])
 def test_schema_rejects_non_integer_numbers(ex1_1, field, value):
     obj = entry_to_json(ex1_1)
     obj[field] = value
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError) as info:
         entry_from_json(obj)
+    if field == "expected_fingerprint":  # the error names a bad count key
+        for k in set(value) - {"0", "1", "2", "3", "4"}:
+            assert repr(k) in str(info.value)
 
 
 def test_all_shipped_fingerprints_sum():

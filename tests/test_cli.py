@@ -400,6 +400,8 @@ def test_group_validate_huge_header_exits_1(capsys, tmp_path):
     ("group", {"cyclic": 125.9}),
     # sums to 7,560,000, but has a count outside 0..4 and a negative frequency
     ("expected_fingerprint", {"1": 25000, "2": 580500, "3": 3042000, "4": 3912501, "9": -1}),
+    # "04" is not the text of a count: it would silently replace or be replaced by "4"
+    ("expected_fingerprint", {"1": 25000, "2": 580500, "3": 3042000, "04": 0, "4": 3912500}),
 ])
 def test_verify_malformed_family_field_exits_3(capsys, tmp_path, field, value):
     obj = entry_to_json(entry("ex1-1"))

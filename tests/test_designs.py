@@ -18,7 +18,6 @@ from unitals.designs import (
     develop_blocks,
     first_rows,
     is_block_invariant,
-    line_through,
     maps_blocks,
     relabel,
     resolve_family,
@@ -26,7 +25,7 @@ from unitals.designs import (
     translation_permutation,
     verify_steiner,
 )
-from unitals.errors import ModeOrderMismatch, NotAPermutation, SamePoint, SchemaError
+from unitals.errors import ModeOrderMismatch, NotAPermutation, SchemaError
 from unitals.groups import INF, Cyclic, build_group
 
 
@@ -102,18 +101,16 @@ def test_verify_corrupted_family(z125, ex1_1):
 def test_line_through(design_ex1_1):
     d = design_ex1_1
     b0 = d.blocks[0]
-    idx = line_through(d, b0[0], b0[3])
-    assert d.blocks[idx] == b0
-    assert line_through(d, 7, 3) == line_through(d, 3, 7)
-    with pytest.raises(SamePoint):
-        line_through(d, 5, 5)
+    assert d.blocks[d.line_of[b0[0], b0[3]]] == b0
+    assert d.line_of[7, 3] == d.line_of[3, 7]
 
 
 def test_line_through_exhaustive_cross_check(design_ex1_1):
     d = design_ex1_1
     for p in range(126):
         for q in range(p + 1, 126):
-            b = d.blocks[line_through(d, p, q)]
+            assert d.line_of[p, q] == d.line_of[q, p]
+            b = d.blocks[d.line_of[p, q]]
             assert p in b and q in b
 
 
