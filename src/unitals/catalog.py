@@ -81,7 +81,7 @@ def load_entry(path: str | Path) -> CatalogEntry:
     path = Path(path)
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # also undecodable bytes
+    except (ValueError, RecursionError) as exc:  # also undecodable bytes, deep nesting
         raise SchemaError(f"{path}: invalid JSON: {exc}") from None
     return entry_from_json(obj, path)
 

@@ -230,7 +230,7 @@ def _cmd_catalog_check(args) -> int:
 def _cmd_search(args) -> int:
     try:
         obj = json.loads(args.group.read_text(encoding="utf-8"))
-    except ValueError as exc:  # also undecodable bytes
+    except (ValueError, RecursionError) as exc:  # also undecodable bytes, deep nesting
         raise ParseError(f"{args.group}: not a JSON group spec: {exc}") from None
     spec = spec_from_json(obj)
     group = cat.build_spec_group(spec, args.group)

@@ -50,6 +50,9 @@ ElementLabel = Union[int, tuple, _Infinity]
 #: largest group order accepted; a table is checked against it before it exists
 MAX_ORDER = 126
 
+#: deepest JSON label accepted; the catalog's groups nest labels at most 2 deep
+MAX_LABEL_DEPTH = 32
+
 
 def format_element_label(label: ElementLabel, compact: bool = False) -> str:
     """Text form of a label, for output only (``compact`` drops inner spaces
@@ -64,12 +67,14 @@ def format_element_label(label: ElementLabel, compact: bool = False) -> str:
     raise ParseError(f"not an element label: {label!r}")
 
 
-def label_from_json(value) -> ElementLabel:
+def label_from_json(value, depth: int = 0) -> ElementLabel:
     """Decode a catalog JSON label (int, nested array, or "inf")."""
     if value == "inf":
         return INF
     if isinstance(value, list):
-        return tuple(label_from_json(v) for v in value)
+        if depth == MAX_LABEL_DEPTH:
+            raise ParseError(f"JSON label nested deeper than {MAX_LABEL_DEPTH} levels")
+        return tuple(label_from_json(v, depth + 1) for v in value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError(f"bad JSON label: {value!r}")
     return value

@@ -3,15 +3,18 @@
 Depth-first search over candidate base blocks, driven by a difference-cover
 bitset: each accepted block must cover the smallest currently uncovered
 difference, which visits every family exactly once.  Candidate blocks contain
-the identity (translation normalization).  Three candidate kinds:
+the identity (translation normalization), which may sit at any index of the
+table.  Three candidate kinds:
 
   * full blocks with 30 pairwise-distinct differences (trivial stabilizer);
-  * in 1-rotational mode, the ∞-block H ∪ {∞} for an order-5 subgroup H;
+  * in 1-rotational mode, the ∞-block H ∪ {∞} for an order-5 subgroup H,
+    chosen at the root (``_Searcher.run``) when no fixed block holds ∞;
   * subgroup-coset unions (stabilized blocks, orbit size |G|/|S|), which are
     the only way to cover involution differences in transitive mode.
 
-The coset unions, indexed by the differences they cover, and the masks of the
-difference pairs are built once per group and kept in ``CayleyGroup._cache``.
+The coset unions, indexed by the differences they cover, and the full n x n
+table of difference-pair masks are built once per group and kept in
+``CayleyGroup._cache``.
 
 search_families canonicalizes by the canonical key alone: a family is dropped
 when its developed design has the key of one emitted before.  This works over
@@ -32,6 +35,12 @@ from .difference import block_differences, check_difference_family, quotiented_c
 from .errors import InconsistentPartial
 from .groups import INF, CayleyGroup, subgroups_of_order
 
+#: nodes between two reads of the clock for the time limit
+CLOCK_STRIDE = 4096
+
+#: a family with some base blocks fixed, the start of a completion
+PartialFamily = DifferenceFamily
+
 
 @dataclass
 class SearchBudget:
@@ -40,7 +49,8 @@ class SearchBudget:
     time_limit_s: float = 3600.0
 
     def __post_init__(self):
-        if self.max_nodes <= 0 or self.max_solutions <= 0 or self.time_limit_s <= 0:
+        # written as "not above 0" so that NaN is refused too
+        if not (self.max_nodes > 0 and self.max_solutions > 0 and self.time_limit_s > 0):
             raise ValueError("budget fields must be positive")
 
 
@@ -49,45 +59,6 @@ class SearchStats:
     nodes: int = 0
     solutions: int = 0
     budget_hit: bool = False
-
-
-@dataclass
-class PartialFamily:
-    mode: Mode
-    fixed_blocks: list  # label lists (6 labels each, possibly with ∞)
-
-    def __post_init__(self):
-        self.mode = Mode(self.mode)
-
-
-class _Budget:
-    #: nodes between two reads of the clock for the time limit
-    CLOCK_STRIDE = 4096
-
-    def __init__(self, budget: SearchBudget, stats: SearchStats):
-        self.budget = budget
-        self.stats = stats
-        self.deadline = time.monotonic() + budget.time_limit_s
-        self.next_clock = stats.nodes
-
-    def tick(self, count: int = 1) -> bool:
-        """Count nodes; True while the search may continue.  A run of count
-        nodes is cut at the one that uses up the node budget.  The clock is
-        read on the first call and then once per CLOCK_STRIDE nodes."""
-        first = self.stats.nodes + 1
-        self.stats.nodes += count
-        late = False
-        if self.stats.nodes >= self.next_clock:
-            self.next_clock = self.stats.nodes + self.CLOCK_STRIDE
-            late = time.monotonic() > self.deadline
-        if self.stats.nodes >= self.budget.max_nodes or late:
-            self.stats.nodes = max(first, min(self.stats.nodes, self.budget.max_nodes))
-            self.stats.budget_hit = True
-            return False
-        return True
-
-    def solutions_left(self) -> bool:
-        return self.stats.solutions < self.budget.max_solutions
 
 
 def _masks(flags: np.ndarray) -> list:
@@ -136,35 +107,18 @@ def _candidates_by_delta(group: CayleyGroup) -> list:
     return by_delta
 
 
-class _PairMasks(dict):
+def _difference_pairs(group: CayleyGroup) -> list:
     """pairs[a][x] = (1 << a^-1 x) | (1 << x^-1 a), or 0 when the two are
-    equal; row a is built when first asked for.  x^-1 a is the inverse of
-    d = a^-1 x, so every row gathers from the same n masks of the pairs
-    {d, d^-1}."""
-
-    def __init__(self, group: CayleyGroup):
-        super().__init__()
-        self.table, self.inverses = group.table, group.inverses
-        self.masks = [(1 << d) | (1 << i) if d != i else 0
-                      for d, i in enumerate(group.inverses.tolist())]
-
-    def __missing__(self, a: int) -> list:
-        masks = self.masks
-        row = self[a] = [masks[d] for d in self.table[self.inverses[a]].tolist()]
-        return row
-
-
-def _difference_pairs(group: CayleyGroup) -> _PairMasks:
-    """The group's pair masks, kept across searches."""
+    equal, as an n x n list of lists built once per group.  x^-1 a is the
+    inverse of d = a^-1 x, so every row gathers from the same n masks of the
+    pairs {d, d^-1}."""
     cached = group._cache.get("difference_pairs")
     if cached is None:
-        cached = group._cache["difference_pairs"] = _PairMasks(group)
+        masks = [(1 << d) | (1 << i) if d != i else 0
+                 for d, i in enumerate(group.inverses.tolist())]
+        cached = group._cache["difference_pairs"] = [
+            [masks[d] for d in row] for row in group.table[group.inverses].tolist()]
     return cached
-
-
-def _inf_block_candidates(group: CayleyGroup) -> list:
-    """Order-5 subgroups H: the ∞-block must be H ∪ {∞} up to translation."""
-    return [tuple(sorted(h)) for h in subgroups_of_order(group, 5)]
 
 
 class _Searcher:
@@ -172,57 +126,90 @@ class _Searcher:
     every set of differences as a Python int bitmask (bit d: difference d),
     from the uncovered set down to a block's own differences."""
 
-    def __init__(self, group: CayleyGroup, partial: PartialFamily, budget: SearchBudget,
-                 stats: SearchStats):
-        self.fixed, self.uncovered, self.need_inf = _fixed_state(group, partial)
+    def __init__(self, group: CayleyGroup, partial: PartialFamily,
+                 budget: SearchBudget | None = None, stats: SearchStats | None = None):
+        # quotiented_coverage also checks the mode against the group order
+        per_block, quotiented, undivided = quotiented_coverage(group, partial)
+        if undivided is not None:
+            raise InconsistentPartial("difference counts not divisible by stabilizer")
+        if quotiented.max() > 1:
+            over = int(np.nonzero(quotiented > 1)[0][0])
+            raise InconsistentPartial(
+                f"difference {group.labels[over]!r} covered {int(quotiented[over])} times")
+        uncovered = quotiented == 0
+        uncovered[group.identity] = False
+        self.uncovered = _masks(uncovered[None])[0]
+        self.fixed = resolve_family(group, partial)
+        self.need_inf = (partial.mode is Mode.ONE_ROTATIONAL
+                         and all(len(finite) == BLOCK_SIZE for finite, _, _ in per_block))
         self.group = group
         self.mode = partial.mode
-        self.stats = stats
-        self.budget = _Budget(budget, stats)
+        self.budget = budget or SearchBudget()
+        self.stats = stats if stats is not None else SearchStats()
+        self.deadline = time.monotonic() + self.budget.time_limit_s
+        self.next_clock = self.stats.nodes
         x = np.arange(group.order)
         self.is_involution = ((group.inverses == x) & (x != group.identity)).tolist()
         self.pairs = _difference_pairs(group)
         self.by_delta = (_candidates_by_delta(group) if self.mode is Mode.TRANSITIVE
                          else [()] * group.order)
 
+    def tick(self, count: int = 1) -> bool:
+        """Count nodes; True while the search may continue.  A run of count
+        nodes is cut at the one that uses up the node budget.  The clock is
+        read on the first call and then once per CLOCK_STRIDE nodes."""
+        stats = self.stats
+        first = stats.nodes + 1
+        stats.nodes += count
+        late = False
+        if stats.nodes >= self.next_clock:
+            self.next_clock = stats.nodes + CLOCK_STRIDE
+            late = time.monotonic() > self.deadline
+        if stats.nodes >= self.budget.max_nodes or late:
+            stats.nodes = max(first, min(stats.nodes, self.budget.max_nodes))
+            stats.budget_hit = True
+            return False
+        return True
+
+    def stopped(self) -> bool:
+        """True once the budget is used up or max_solutions families are found."""
+        return self.stats.budget_hit or self.stats.solutions >= self.budget.max_solutions
+
     # ------------------------------------------------------------------
     def run(self):
-        """Yield completed families (index blocks); generator-based DFS."""
-        yield from self._extend(self.fixed, [], _masks(self.uncovered[None])[0], self.need_inf)
+        """Yield completed families (index blocks, the fixed ones first);
+        generator-based DFS.  Without a fixed ∞-block, 1-rotational mode
+        chooses H ∪ {∞} here at the root, one node per order-5 subgroup H."""
+        if not self.need_inf:
+            yield from self._extend(list(self.fixed), self.uncovered)
+        elif not self.stopped():
+            e = self.group.identity
+            for h in subgroups_of_order(self.group, 5):
+                if self.stats.budget_hit or not self.tick():
+                    return
+                h = tuple(sorted(h))
+                covered = sum(1 << x for x in h if x != e)
+                if not covered & ~self.uncovered:
+                    inf_block = h + (self.group.order,)  # ∞'s index, as in designs
+                    yield from self._extend([*self.fixed, inf_block], self.uncovered & ~covered)
 
     def families(self):
         """Yield the completed families, each one checked by
         check_difference_family."""
+        n, labels = self.group.order, self.group.labels
         for idx_blocks in self.run():
-            fam = _blocks_to_family(self.group, self.mode, idx_blocks)
+            fam = DifferenceFamily(self.mode, [[INF if p == n else labels[p] for p in block]
+                                               for block in idx_blocks])
             if not check_difference_family(self.group, fam):
                 raise AssertionError("search emitted a family failing the algebraic check")
             yield fam
 
-    def _emit(self, fixed, chosen):
-        return [list(b) for b in fixed] + [list(b) for b in chosen]
-
-    def _extend(self, fixed, chosen, uncovered, need_inf):
-        if self.stats.budget_hit or not self.budget.solutions_left():
-            return
-        if need_inf:
-            # the ∞-block is forced up to the choice of the order-5 subgroup
-            e = self.group.identity
-            for h in _inf_block_candidates(self.group):
-                if not self.budget.tick():
-                    return
-                covered = sum(1 << x for x in h if x != e)
-                if covered & ~uncovered:
-                    continue
-                chosen.append(h + (self.group.order,))  # ∞'s index, as in designs
-                yield from self._extend(fixed, chosen, uncovered & ~covered, False)
-                chosen.pop()
-                if self.stats.budget_hit:
-                    return
+    def _extend(self, chosen, uncovered):
+        if self.stopped():
             return
         if not uncovered:
             self.stats.solutions += 1
-            yield self._emit(fixed, chosen)
+            yield [list(b) for b in chosen]
             return
         delta = (uncovered & -uncovered).bit_length() - 1  # the least uncovered
         busy = ~uncovered
@@ -230,18 +217,18 @@ class _Searcher:
         for covered, block in self.by_delta[delta]:
             if covered & busy:
                 continue
-            if not self.budget.tick():
+            if not self.tick():
                 return
             chosen.append(block)
-            yield from self._extend(fixed, chosen, uncovered & ~covered, False)
+            yield from self._extend(chosen, uncovered & ~covered)
             chosen.pop()
             if self.stats.budget_hit:
                 return
         if self.is_involution[delta]:
             return  # a full block covers d and d^-1 separately; impossible here
-        yield from self._full_blocks(fixed, chosen, uncovered, delta)
+        yield from self._full_blocks(chosen, uncovered, delta)
 
-    def _full_blocks(self, fixed, chosen, uncovered, delta):
+    def _full_blocks(self, chosen, uncovered, delta):
         """Blocks {e, delta, x3..x6} with 30 distinct uncovered differences.
 
         free holds the differences that are uncovered and not yet covered by
@@ -253,7 +240,8 @@ class _Searcher:
         against the member added last.  Nodes count as in an
         element-by-element scan, one per non-member element tried after the
         last member (only e and delta can come later); the run up to the next
-        fitting element counts at once.
+        fitting element counts at once.  The scan starts at element 0: the
+        identity e never fits, since its pair mask with itself is 0.
         """
         n = self.group.order
         e = self.group.identity
@@ -273,17 +261,17 @@ class _Searcher:
             return out
 
         def rec(members, start, cands, taken, free):
-            if self.stats.budget_hit or not self.budget.solutions_left():
+            if self.stopped():
                 return
             if len(members) == BLOCK_SIZE:
                 chosen.append(tuple(sorted(members)))
-                yield from self._extend(fixed, chosen, free, False)
+                yield from self._extend(chosen, free)
                 chosen.pop()
                 return
             fits = fitting(cands, members[-1], taken, free)
             pos = start
             for i, (x, ds) in enumerate(fits):
-                if not self.budget.tick(x + 1 - pos - (pos <= e < x) - (pos <= delta < x)):
+                if not self.tick(x + 1 - pos - (pos <= e < x) - (pos <= delta < x)):
                     return
                 pos = x + 1
                 members.append(x)
@@ -293,39 +281,14 @@ class _Searcher:
                     return
             rest = n - pos - (e >= pos) - (delta >= pos)
             if rest:
-                self.budget.tick(rest)
+                self.tick(rest)
 
         free = uncovered & ~(1 << e)
-        cands = fitting([(x, 0) for x in range(1, n)], e, 0, free)
+        cands = fitting([(x, 0) for x in range(n)], e, 0, free)
         seed = [ds for x, ds in cands if x == delta]
         if not seed:
             return
-        yield from rec([e, delta], 1, cands, seed[0], free & ~seed[0])
-
-
-def _fixed_state(group: CayleyGroup, partial: PartialFamily):
-    """(index blocks, uncovered array, need_inf) from the fixed blocks."""
-    family = DifferenceFamily(partial.mode, partial.fixed_blocks)
-    per_block, quotiented, undivided = quotiented_coverage(group, family)  # checks mode vs order
-    if undivided is not None:
-        raise InconsistentPartial("difference counts not divisible by stabilizer")
-    if quotiented.max() > 1:
-        over = int(np.nonzero(quotiented > 1)[0][0])
-        raise InconsistentPartial(
-            f"difference {group.labels[over]!r} covered {int(quotiented[over])} times")
-    uncovered = quotiented == 0
-    uncovered[group.identity] = False
-    have_inf = any(len(finite) < BLOCK_SIZE for finite, _, _ in per_block)
-    need_inf = partial.mode is Mode.ONE_ROTATIONAL and not have_inf
-    return resolve_family(group, family), uncovered, need_inf
-
-
-def _blocks_to_family(group: CayleyGroup, mode: Mode, index_blocks: list) -> DifferenceFamily:
-    blocks = []
-    for block in index_blocks:
-        labels = [INF if p == group.order else group.labels[p] for p in block]
-        blocks.append(labels)
-    return DifferenceFamily(mode, blocks)
+        yield from rec([e, delta], 0, cands, seed[0], free & ~seed[0])
 
 
 def complete_family(group: CayleyGroup, partial: PartialFamily,
@@ -336,8 +299,6 @@ def complete_family(group: CayleyGroup, partial: PartialFamily,
     Every returned family passes check_difference_family.  Inspect the stats
     object (budget_hit) to learn whether the search was exhaustive.
     """
-    budget = budget or SearchBudget()
-    stats = stats if stats is not None else SearchStats()
     return list(_Searcher(group, partial, budget, stats).families())
 
 
@@ -352,17 +313,15 @@ def search_families(group: CayleyGroup, mode: Mode | str,
     Canonical keys count against time_limit_s: when it runs out during one,
     the search stops with budget_hit set.
     """
-    budget = budget or SearchBudget()
-    stats = stats if stats is not None else SearchStats()
     searcher = _Searcher(group, PartialFamily(mode, []), budget, stats)
     seen_keys = set()
     for fam in searcher.families():
         if canonicalize:
             try:
                 key = isomorph.canonical_key(develop(group, fam),
-                                             searcher.budget.deadline - time.monotonic())
+                                             searcher.deadline - time.monotonic())
             except TimeoutError:
-                stats.budget_hit = True
+                searcher.stats.budget_hit = True
                 return
             if key in seen_keys:
                 continue

@@ -413,6 +413,27 @@ def test_verify_malformed_family_field_exits_3(capsys, tmp_path, field, value):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("depth", [1000, 400])
+def test_verify_deeply_nested_label_exits_3(capsys, tmp_path, depth):
+    # 1000 levels overflow json.loads; 400 overflowed the message that names
+    # a label not in the group
+    obj = entry_to_json(entry("ex1-1"))
+    obj["base_blocks"][0][1] = "NESTED"
+    p = tmp_path / "family.json"
+    p.write_text(json.dumps(obj).replace('"NESTED"', "[" * depth + "0" + "]" * depth))
+    code, _, err = run(capsys, "verify", str(p))
+    assert code == 3
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_search_deeply_nested_group_exits_3(capsys, tmp_path):
+    p = tmp_path / "group.json"
+    p.write_text("[" * 1000 + "]" * 1000)
+    code, _, err = search_with_group_file(capsys, p)
+    assert code == 3
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_verify_undecodable_family_exits_3(capsys, tmp_path):
     p = tmp_path / "family.json"
     p.write_bytes(b'{"id": "\xff\xfe"}')

@@ -40,3 +40,15 @@ def test_reproduce_all_threads_below_one_is_usage_error(threads):
     assert proc.returncode == 2
     assert "must be positive" in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("workload", ["reproduce", "classify", "search"])
+def test_benchmark_smoke_mode_runs(workload):
+    # the harness under perfbench/ calls the package's API; a break there
+    # (a renamed class or keyword) fails here
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"),
+                           "--workload", workload, "--seed", "7", "--seconds", "1",
+                           "--smoke", "--trace", "0"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1])["failed"] == 0

@@ -1,7 +1,9 @@
 """Difference-family search: completion, budgets, canonical-key dedupe."""
 
 import dataclasses
+import math
 
+import numpy as np
 import pytest
 
 from conftest import emit_ex1_1, entry
@@ -9,13 +11,14 @@ from unitals import catalog, isomorph, search
 from unitals.designs import Mode, develop, resolve_family, verify_steiner
 from unitals.difference import check_difference_family
 from unitals.errors import InconsistentPartial, ModeOrderMismatch
-from unitals.groups import INF, Cyclic, build_group
+from unitals.groups import INF, Cyclic, Product, build_group, load_cayley_table, save_cayley_table
 from unitals.isomorph import canonical_key
 from unitals.search import (
     PartialFamily,
     SearchBudget,
     SearchStats,
     _candidates_by_delta,
+    _difference_pairs,
     _stabilized_candidates,
     complete_family,
     search_families,
@@ -64,6 +67,51 @@ def test_one_block_removed_recovers(j, z125):
     for fam in fams:
         assert check_difference_family(z125, fam)
         assert verify_steiner(develop(z125, fam)).is_steiner
+
+
+def test_full_block_scan_with_identity_not_at_zero(z125, ex1_1, tmp_path):
+    # Z_125 with elements 0 and 7 swapped: the identity is 7, and element 0
+    # is a difference the full blocks must be able to use
+    swap = np.arange(z125.order)
+    swap[[0, 7]] = [7, 0]
+    table = np.empty_like(z125.table)
+    table[np.ix_(swap, swap)] = swap[z125.table]
+    path = tmp_path / "z125_identity_7.txt"
+    save_cayley_table(dataclasses.replace(z125, table=table), path)
+    g = load_cayley_table(path)
+    assert g.identity == 7
+    kept = [[x if x is INF else int(swap[x]) for x in b]
+            for i, b in enumerate(ex1_1.base_blocks) if i != 2]
+    stats = SearchStats()
+    fams = complete_family(g, PartialFamily(Mode.ONE_ROTATIONAL, kept), stats=stats)
+    assert len(fams) == 2 and not stats.budget_hit
+    for fam in fams:
+        assert check_difference_family(g, fam)
+
+
+@pytest.mark.parametrize("field", ["max_nodes", "max_solutions", "time_limit_s"])
+@pytest.mark.parametrize("value", [0, -1, math.nan])
+def test_budget_fields_must_be_positive(field, value):
+    with pytest.raises(ValueError, match="positive"):
+        SearchBudget(**{field: value})
+
+
+@pytest.mark.parametrize("make_group", [
+    lambda: build_group(Cyclic(125)),
+    lambda: build_group(Product(Cyclic(5), Product(Cyclic(5), Cyclic(5)))),
+    lambda: entry("sg126-3-1").group(),
+], ids=["Z_125", "Z_5^3", "sg126-3"])
+def test_difference_pairs_against_plain_loops(make_group):
+    g = make_group()
+    t, inv = g.table.tolist(), g.inverses.tolist()
+    expected = []
+    for a in range(g.order):
+        row = []
+        for x in range(g.order):
+            d, d_inv = t[inv[a]][x], t[inv[x]][a]  # a^-1 x and x^-1 a
+            row.append(0 if d == d_inv else (1 << d) | (1 << d_inv))
+        expected.append(row)
+    assert _difference_pairs(g) == expected
 
 
 def test_trivial_budget_empty_stream(z125):
@@ -322,9 +370,11 @@ def test_search_checks_mode_against_order(order, mode):
 
 # Recorded before the full-block scan was batched, with an element-by-element
 # scan; the batched scan must count the same nodes, also where a budget cuts
-# the search (ex2-4 with 500 nodes ends at 500: the ∞-block loop returns as
-# soon as its child has used up the budget).  In sg126-12-15 a full block with
-# an involution difference s^-1 x = x^-1 s would be tried if it were not refused.
+# the search (ex2-4 with 500 nodes ends at 500: the ∞-block loop at the root,
+# in _Searcher.run, stops as soon as a child has used up the budget, and once
+# max_solutions are found it still ticks one node per remaining order-5 subgroup).
+# In sg126-12-15 a full block with an involution difference s^-1 x = x^-1 s
+# would be tried if it were not refused.
 PINNED_FULL_BLOCK_SEARCHES = [
     # entry, removed blocks (None: keep only the first), max_nodes, max_solutions,
     # then nodes, solutions, budget_hit
