@@ -185,7 +185,8 @@ def _cmd_aut(args) -> int:
     count = automorphism_order(design)
     if args.json:
         print(json.dumps({"id": entry.id, "order": count.order,
-                          "complete": count.complete}))
+                          "complete": count.complete,
+                          "search": design._cache["aut_stats"]}))
     else:
         print(count.order if count.complete else f">= {count.order}")
     if not count.complete:

@@ -4,7 +4,9 @@ All three run on the same machinery: an equitable-partition refinement whose
 cells are numbered canonically (by sorted signature content), seeded with the
 per-point fingerprint profiles, and an individualization backtracking search
 that skips the orbits of done siblings under the automorphisms known to fix
-the current path.  Block degree is constant in a Steiner system, so the
+the current path and, on the first path, under the stabilizer of the path in
+the group those automorphisms generate, read off a stabilizer chain that grows
+as they are found.  Block degree is constant in a Steiner system, so the
 profile seed is what breaks the initial symmetry.  One traversal of the
 search tree gives |Aut|, the canonical key and the canonical labeling
 (``_search``); two designs are isomorphic when their keys are equal, and
@@ -14,6 +16,7 @@ their two labelings compose to the witness.
 from __future__ import annotations
 
 import hashlib
+import random
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -186,7 +189,8 @@ def automorphism_generators(design: Design,
     """(AutomorphismCount, generators) from the individualization search.
 
     If the budget runs out, the order counted so far is returned as a lower
-    bound with complete=False, and nothing is cached.
+    bound with complete=False, and nothing but the search's counts
+    (``_search``) is cached.
     """
     cached = design._cache.get("aut_group")
     if cached is not None:
@@ -225,7 +229,8 @@ def automorphism_order(design: Design, time_budget_s: float = 600.0) -> Automorp
 def canonical_key(design: Design, time_budget_s: float = 600.0) -> bytes:
     """Byte string equal for two designs exactly when they are isomorphic.
 
-    When the budget runs out, TimeoutError is raised and nothing is cached.
+    When the budget runs out, TimeoutError is raised and nothing but the
+    search's counts (``_search``) is cached.
     """
     cached = design._cache.get("canonical_key")
     if cached is None:
@@ -241,26 +246,46 @@ def _search(design: Design, deadline: float) -> tuple:
     best leaf's labeling that gives the key, are cached when it completes.
 
     A child in the orbit of a done sibling, under the automorphisms found so
-    far that fix the path, is skipped.  A leaf equal to the first or the best
+    far that fix the path, is skipped.  At a node on the first path, once
+    that filter fails and some automorphism fixes the path while another
+    does not, a child is also skipped when it lies in the orbit of a done
+    sibling under the pointwise stabilizer of the path in the group the
+    automorphisms generate, read off a stabilizer chain whose base is the
+    first leaf's path (``_Chain``).  A leaf equal to the first or the best
     (smallest) leaf gives an automorphism; after one equal to the first, the
     search returns to the nearest first-path node, since the rest of that
     subtree is an image of one already searched.  A child is pruned by its
     trace only if its prefix is above the best's and differs from the first
-    path's, so every image of the first leaf is found and |Aut| is the
-    product of the orbit sizes of the first path's children under the
-    generators fixing their parent's path.  Past the deadline that product
-    is a lower bound and the key is None.
+    path's, so every image of the first leaf is found.  At a first-path node,
+    each sibling searched in the first child's orbit under the automorphisms
+    fixing the path gives an automorphism onto the first child, which the
+    group that pruned there then holds, so that group's orbit of the first
+    child is the whole orbit.  |Aut| is the product of those orbit sizes
+    along the first path; past the deadline it is a lower bound and the key
+    is None.  When the chain was consulted, every automorphism is sifted
+    into it at the end; each level's orbit is then the whole orbit of its
+    base point, so the chain's base and strong generators, cached as
+    ``aut_chain``, generate each level's whole stabilizer in Aut.  The
+    search's counts are kept in ``design._cache["aut_stats"]`` whether or not
+    it completes.
     """
     n = design.n_points
     gens = _translation_seeds(design)
     leaves: dict = {}  # "first" and "best": (trace path, block bytes, labeling)
     order = 1
+    chain = None  # built at the first leaf
+    stats = design._cache["aut_stats"] = dict.fromkeys(
+        ("refines", "leaves", "orbit_skips", "chain_skips", "trace_skips",
+         "above_best", "off_first"), 0)
 
-    def leaf(partition: OrderedPartition, inv_path: tuple) -> bool:
+    def leaf(partition: OrderedPartition, inv_path: tuple, path: tuple) -> bool:
+        nonlocal chain
+        stats["leaves"] += 1
         # discrete: cell index = new point name
         cand = (inv_path, block_image(design, partition.cell_ids).astype(np.int16).tobytes())
         if not leaves:
             leaves["first"] = leaves["best"] = cand + (partition.cell_ids,)
+            chain = _Chain(path, n)
             return False
         for name in ("first", "best"):
             inv, blocks, other = leaves[name]
@@ -283,33 +308,57 @@ def _search(design: Design, deadline: float) -> tuple:
         nonlocal order
         _check_deadline(deadline)
         if partition.is_discrete():
-            return leaf(partition, inv_path)
+            return leaf(partition, inv_path, path)
         t = _target_cell(partition)
         cell = np.nonzero(partition.cell_ids == t)[0].tolist()
         done: list = []
-        known = -1  # how many automorphisms the orbits in seen were built from
+        by_chain = False  # whether the orbits come from the chain
+        known = None  # (by_chain, automorphism count) the orbits in seen were built from
+
+        def orbits(points) -> np.ndarray:
+            if by_chain:
+                chain.extend(gens)
+                return chain.orbits(points, len(path))
+            return _orbit_under_stabilizer(points, path, gens, n)
+
         for v in cell:
-            if len(gens) != known:
-                known = len(gens)
-                seen = _orbit_under_stabilizer(done, path, gens, n)
+            if known != (by_chain, len(gens)):
+                known = (by_chain, len(gens))
+                seen = orbits(done)
+            if not seen[v] and on_first and done and not by_chain:
+                # the path filter failed: consult the chain, if it can see more.
+                # It can only when some automorphism fixes the path and some
+                # does not: those found below a first-path node fix its path,
+                # and the translation seeds fix no point they move.
+                fixing = (np.reshape(gens, (-1, n))[:, list(path)] == path).all(axis=1)
+                by_chain = bool(0 < fixing.sum() < len(gens))
+                if by_chain:
+                    known, seen = (by_chain, len(gens)), orbits(done)
             if seen[v]:
+                stats["chain_skips" if by_chain else "orbit_skips"] += 1
                 continue
             done.append(v)
-            seen |= _orbit_under_stabilizer(v, path, gens, n)
+            seen |= orbits(v)
             refined, trace = _refine(design, _individualize(partition, v))
+            stats["refines"] += 1
             child_inv = inv_path + (trace,)
             if leaves:
                 depth = len(child_inv)
-                if (child_inv > leaves["best"][0][:depth]
-                        and child_inv != leaves["first"][0][:depth]):
+                above = child_inv > leaves["best"][0][:depth]
+                off = child_inv != leaves["first"][0][:depth]
+                stats["above_best"] += above
+                stats["off_first"] += off
+                if above and off:
+                    stats["trace_skips"] += 1
                     continue  # no leaf below is the best or equals the first
             if dfs(refined, child_inv, path + (v,), on_first and v == cell[0]) and not on_first:
                 return True
         if on_first:
-            order *= int(_orbit_under_stabilizer(cell[0], path, gens, n).sum())
+            order *= int(orbits(cell[0]).sum())
         return False
 
     try:
+        stats["refines"] += 1  # the initial partition
         dfs(initial_partition(design), (), (), True)
     except TimeoutError:
         return (AutomorphismCount(order, False), gens), None
@@ -320,7 +369,94 @@ def _search(design: Design, deadline: float) -> tuple:
     key = hashlib.sha256(key + b"|" + leaves["best"][1]).hexdigest().encode()
     design._cache["canonical_key"] = key
     design._cache["canonical_labeling"] = leaves["best"][2]  # point -> canonical label
+    if chain.sifted:  # the chain was consulted
+        chain.extend(gens)
+        design._cache["aut_chain"] = (chain.base, [s for s, _, _ in chain.strong])
     return aut_group, key
+
+
+#: random elements sifted into a stabilizer chain with each automorphism found
+RANDOM_SIFTS = 4
+
+
+class _Chain:
+    """Stabilizer chain of the group generated by the automorphisms found so
+    far, on a base of points whose pointwise stabilizer in Aut is trivial
+    (the first leaf's path); random Schreier-Sims (Holt, Eick & O'Brien,
+    Handbook of Computational Group Theory, 2005).
+
+    Level k holds the orbit of base[k] under the strong generators that fix
+    base[:k], and for each point p of it the inverse of an element that maps
+    base[k] to p.  Each automorphism that arrives is sifted down the levels,
+    followed by RANDOM_SIFTS product-replacement elements of the group (from
+    a generator seeded per chain, so a search runs the same way every time);
+    a residue other than the identity becomes a strong generator of every
+    level down to the one where it stopped.  Every automorphism sifted lies
+    in the group of each level whose base points it fixes, so the level's
+    orbits contain the orbits of those automorphisms.  The chain may span
+    less than the whole stabilizer at a level, which leaves pruning by it
+    sound.
+    """
+
+    def __init__(self, base: tuple, n: int):
+        self.base = base
+        self.n = n
+        self.strong: list = []  # (perm, inverse, level): perm fixes base[:level]
+        self.in_orbit = np.zeros((len(base), n), dtype=bool)
+        self.in_orbit[np.arange(len(base)), list(base)] = True
+        self.inverse = np.tile(np.arange(n), (len(base), n, 1))
+        self.rng = random.Random(0)
+        self.slots: list = []  # product-replacement state
+        self.accumulator = np.arange(n)
+        self.sifted = 0  # how many automorphisms were sifted in
+
+    def extend(self, gens: list) -> None:
+        """Sift in the automorphisms of gens not yet seen."""
+        for g in gens[self.sifted:]:
+            self.slots.append(g)
+            self._sift(g)
+            for _ in range(RANDOM_SIFTS):
+                i = self.rng.randrange(len(self.slots))
+                j = self.rng.randrange(len(self.slots))
+                self.slots[i] = self.slots[i][self.slots[j]]
+                self.accumulator = self.accumulator[self.slots[i]]
+                self._sift(self.accumulator)
+        self.sifted = len(gens)
+
+    def orbits(self, points, level: int) -> np.ndarray:
+        """Mask of the union of the orbits of points under the group at level."""
+        return _orbit_under_stabilizer(points, (), [s for s, _, lv in self.strong if lv >= level],
+                                       self.n)
+
+    def _sift(self, g: np.ndarray) -> None:
+        for level, b in enumerate(self.base):
+            p = g[b]
+            if p == b:
+                continue
+            if not self.in_orbit[level, p]:
+                self._add(g, level)
+                return
+            g = self.inverse[level, p][g]
+
+    def _add(self, s: np.ndarray, level: int) -> None:
+        s_inv = np.argsort(s)
+        self.strong.append((s, s_inv, level))
+        for k in range(level + 1):
+            orbit, inverse = self.in_orbit[k], self.inverse[k]
+            frontier = np.nonzero(orbit)[0]
+            step = [(s, s_inv)]  # the points found before s are closed under the rest
+            while len(frontier):
+                found = []
+                for t, t_inv in step:
+                    images = t[frontier]
+                    new = ~orbit[images]
+                    q = images[new]
+                    if len(q):
+                        orbit[q] = True
+                        inverse[q] = inverse[frontier[new]][:, t_inv]  # (t u_p)^-1 = u_p^-1 t^-1
+                        found.append(q)
+                frontier = np.concatenate(found) if found else ()
+                step = [(t, t_inv) for t, t_inv, lv in self.strong if lv >= k]
 
 
 def _orbit_under_stabilizer(points, base: tuple, aut_gens: list, n: int) -> np.ndarray:

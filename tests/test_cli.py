@@ -101,6 +101,19 @@ def test_aut_prints_order(capsys):
     assert int(out.strip()) % 125 == 0
 
 
+def test_aut_json_reports_the_search(capsys):
+    code, out, _ = run(capsys, "aut", path_of("ex3-1"), "--json")
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["id"], obj["order"], obj["complete"]) == ("ex3-1", 756000, True)
+    search = obj["search"]
+    assert set(search) == {"refines", "leaves", "orbit_skips", "chain_skips",
+                           "trace_skips", "above_best", "off_first"}
+    assert 1 <= search["leaves"] < search["refines"] <= 150  # 401 before the chain
+    assert search["chain_skips"] > 0
+    assert search["trace_skips"] <= min(search["above_best"], search["off_first"])
+
+
 def unverified_ex1_1(tmp_path):
     """ex1-1 with 74 changed to 75 in its first base block: no S(2,6,126)."""
     obj = entry_to_json(entry("ex1-1"))
@@ -307,7 +320,9 @@ def test_aut_cut_short_exits_4_with_bound(capsys, monkeypatch):
     assert "lower bound" in err
     code, out, _ = run(capsys, "aut", path_of("ex1-1"), "--json")
     assert code == 4
-    assert json.loads(out)["complete"] is False
+    obj = json.loads(out)
+    assert obj["complete"] is False
+    assert (obj["search"]["refines"], obj["search"]["leaves"]) == (1, 0)  # the initial partition
 
 
 def test_iso_cut_short_exits_4_undecided(capsys, monkeypatch):

@@ -193,8 +193,10 @@ def test_rank_rows_matches_lexsort(shape, lo, hi, dtype):
 
 
 def test_rank_rows_matches_lexsort_on_classical_refinement(monkeypatch):
-    """Every fifth row ranking of ex3-1's automorphism search, compared with
-    the oracle as it happens."""
+    """Every fifth row ranking of the automorphism search of ex3-1 relabeled
+    without an action, compared with the oracle as it happens.  Without the
+    translations to seed it, the search ranks rows about 5,400 times; the
+    search on ex3-1 itself ranks them about 500 times."""
     rank = isomorph._rank_rows
     calls = []
 
@@ -206,8 +208,9 @@ def test_rank_rows_matches_lexsort_on_classical_refinement(monkeypatch):
         calls.append(rows.shape)
         return got
 
+    d = bare_relabeled("ex3-1", 7)
     monkeypatch.setattr(isomorph, "_rank_rows", checked)
-    assert automorphism_order(fresh_design("ex3-1")) == (756000, True)
+    assert automorphism_order(d) == (756000, True)
     assert len(calls) > 1000
     assert {cols for _, cols in calls} >= {1, 6}
 
@@ -272,6 +275,57 @@ def test_classical_unital_relabeled_has_full_group():
     assert count == (756000, True)
     assert all(is_block_invariant(d, g) for g in gens)
     assert canonical_key(d) == CLASSICAL_KEY
+
+
+def group_closure(gens, n):
+    """Every product of the generators, by breadth-first search (slow oracle)."""
+    gens = np.asarray(gens, dtype=np.int64)
+    frontier = np.arange(n)[None]
+    elements = {frontier[0].tobytes(): frontier[0]}
+    while len(frontier):
+        products = frontier[:, gens].reshape(-1, n)  # x∘g for each x and g
+        fresh = {}
+        for p in products:
+            key = p.tobytes()
+            if key not in elements:
+                elements[key] = fresh[key] = p
+        frontier = np.array(list(fresh.values())).reshape(-1, n)
+    return np.array(list(elements.values()))
+
+
+@pytest.mark.parametrize("entry_id", ["ex3-2", "ex5-1"])
+def test_chain_orbits_match_the_closed_group(entry_id):
+    """The returned generators close to a group of the reported order, and
+    the chain's stabilizer of every prefix of the first path has the orbits
+    of that group's pointwise stabilizer of the prefix."""
+    d = fresh_design(entry_id)
+    count, gens = automorphism_generators(d)
+    group = group_closure(gens, 126)
+    assert count == (len(group), True) == (PINNED[entry_id][0], True)
+    base, strong = d._cache["aut_chain"]
+    for k in range(len(base) + 1):
+        prefix = list(base[:k])
+        stabilizer = group[(group[:, prefix] == prefix).all(axis=1)]
+        for p in range(126):
+            want = np.zeros(126, dtype=bool)
+            want[stabilizer[:, p]] = True
+            got = isomorph._orbit_under_stabilizer(p, tuple(prefix), strong, 126)
+            assert np.array_equal(got, want), (k, p)
+
+
+def test_chain_not_consulted_where_it_cannot_prune():
+    """Below ex3-4's root, when the path filter first fails only the
+    translations are known, and they fix no point of the path."""
+    d = fresh_design("ex3-4")
+    assert automorphism_generators(d)[0] == (250, True)
+    assert d._cache["aut_stats"]["chain_skips"] == 0
+    assert "aut_chain" not in d._cache
+
+
+def test_generators_are_the_same_on_every_run():
+    runs = [automorphism_generators(fresh_design("ex3-1"))[1] for _ in range(2)]
+    assert len(runs[0]) == len(runs[1])
+    assert all(np.array_equal(a, b) for a, b in zip(*runs))
 
 
 def test_relabeled_action_seeds_from_its_largest_orbit():
