@@ -221,13 +221,8 @@ def build_spec_group(spec: GroupSpec, spec_path: Path | None) -> CayleyGroup:
 
 def _resolve_table_path(raw: str, spec_path: Path | None) -> Path:
     p = Path(raw)
-    if p.is_absolute() and p.exists():
-        return p
-    candidates = []
-    if spec_path is not None:
-        candidates.append(spec_path.parent / p)
-    candidates.append(data_dir() / p)
-    candidates.append(p)
+    roots = ([spec_path.parent] if spec_path is not None else []) + [data_dir(), Path()]
+    candidates = list(dict.fromkeys(root / p for root in roots))  # p alone, if absolute
     for c in candidates:
         if c.exists():
             return c

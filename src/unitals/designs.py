@@ -52,11 +52,8 @@ class DifferenceFamily:
                 raise SchemaError(f"block {i} has {len(block)} entries, expected 6")
             if len(set(map(_label_key, block))) != BLOCK_SIZE:
                 raise SchemaError(f"block {i} has repeated entries")
-            n_inf = sum(1 for lab in block if lab is INF)
-            if n_inf and self.mode is not Mode.ONE_ROTATIONAL:
+            if any(lab is INF for lab in block) and self.mode is not Mode.ONE_ROTATIONAL:
                 raise SchemaError("∞ label only allowed in one-rotational mode")
-            if n_inf > 1:
-                raise SchemaError(f"block {i} contains ∞ more than once")
 
 
 def _label_key(lab):

@@ -47,22 +47,23 @@ def block_differences(group: CayleyGroup, blocks) -> tuple:
 
 
 def quotiented_coverage(group: CayleyGroup, family: DifferenceFamily) -> tuple:
-    """(per_block, quotiented, undivided).  per_block holds, for each base
-    block, (finite part, stabilizer order, counts) with counts as in
+    """(per_block, quotiented).  per_block holds, for each base block,
+    (finite part, stabilizer order, counts) with counts as in
     :func:`block_differences`; quotiented[d] is the number of distinct
-    translates covering difference d, or None with undivided the first
-    (finite part, stabilizer order) whose counts that order does not divide."""
+    translates covering difference d.
+
+    The stabilizer order |S| of a block B divides each of its counts: h in S
+    sends a pair (a, b) of B to the pair (ha, hb) of B, which has the same
+    difference (hb)^-1 ha = b^-1 a, and only the identity fixes a pair, so S
+    splits the pairs with a given difference into orbits of size |S|."""
     per_block = []
+    quotiented = np.zeros(group.order, dtype=np.int64)
     for block in resolve_family(group, family):
         finite = [p for p in block if p != group.order]
         block_counts, stabs = block_differences(group, [finite])
         per_block.append((finite, int(stabs[0]), block_counts[0]))
-    quotiented = np.zeros(group.order, dtype=np.int64)
-    for finite, stab, block_counts in per_block:
-        if (block_counts % stab != 0).any():
-            return per_block, None, (finite, stab)
-        quotiented += block_counts // stab
-    return per_block, quotiented, None
+        quotiented += block_counts[0] // stabs[0]
+    return per_block, quotiented
 
 
 @dataclass
@@ -82,25 +83,18 @@ def check_difference_family(group: CayleyGroup, family: DifferenceFamily) -> Dif
     1-rotational mode the distinct translates of the ∞-blocks' finite parts
     must additionally partition the group (pairs {x, ∞}).
     """
-    per_block, quotiented, undivided = quotiented_coverage(group, family)
+    per_block, quotiented = quotiented_coverage(group, family)
     if not per_block:
         return DifferenceCheck(False, ["empty family covers nothing"])
-    if undivided is not None:
-        finite, stab = undivided
-        return DifferenceCheck(False, [
-            f"block {finite}: difference counts not divisible by stabilizer {stab}"])
 
     n = group.order
     defects = []
     expected = np.ones(n, dtype=np.int64)
     expected[group.identity] = 0
-    for d in np.nonzero(quotiented != expected)[0]:
-        if d == group.identity:
-            defects.append(f"identity difference covered {quotiented[d]:g} times")
-        else:
-            word = "over" if quotiented[d] > 1 else "under"
-            defects.append(
-                f"difference {group.labels[d]!r} {word}-covered ({quotiented[d]:g} times)")
+    for d in np.nonzero(quotiented != expected)[0]:  # never e: its counts are 0
+        word = "over" if quotiented[d] > 1 else "under"
+        defects.append(
+            f"difference {group.labels[d]!r} {word}-covered ({quotiented[d]:g} times)")
 
     if family.mode is Mode.ONE_ROTATIONAL:
         inf_blocks = [f for f, _, _ in per_block if len(f) < BLOCK_SIZE]

@@ -34,9 +34,6 @@ class OrderedPartition:
     cell_ids: np.ndarray  # (n,) int64, cell index per point
     n_cells: int
 
-    def is_discrete(self) -> bool:
-        return self.n_cells == len(self.cell_ids)
-
 
 def _pair_codes(design: Design) -> np.ndarray:
     """(n, n) canonical rank of each point pair's symmetrized pair profile.
@@ -118,7 +115,7 @@ def _individualize(partition: OrderedPartition, v: int) -> np.ndarray:
 
 
 def _target_cell(partition: OrderedPartition) -> int | None:
-    """Smallest non-singleton cell, ties broken by lowest cell index."""
+    """Smallest non-singleton cell, ties broken by lowest cell index; None if discrete."""
     sizes = np.bincount(partition.cell_ids, minlength=partition.n_cells)
     candidates = np.nonzero(sizes > 1)[0]
     if len(candidates) == 0:
@@ -254,9 +251,7 @@ def _search(design: Design, deadline: float) -> tuple:
     first leaf's path (``_Chain``).  A leaf equal to the first or the best
     (smallest) leaf gives an automorphism; after one equal to the first, the
     search returns to the nearest first-path node, since the rest of that
-    subtree is an image of one already searched.  A child is pruned by its
-    trace only if its prefix is above the best's and differs from the first
-    path's, so every image of the first leaf is found.  At a first-path node,
+    subtree is an image of one already searched.  At a first-path node,
     each sibling searched in the first child's orbit under the automorphisms
     fixing the path gives an automorphism onto the first child, which the
     group that pruned there then holds, so that group's orbit of the first
@@ -275,8 +270,7 @@ def _search(design: Design, deadline: float) -> tuple:
     order = 1
     chain = None  # built at the first leaf
     stats = design._cache["aut_stats"] = dict.fromkeys(
-        ("refines", "leaves", "orbit_skips", "chain_skips", "trace_skips",
-         "above_best", "off_first"), 0)
+        ("refines", "leaves", "orbit_skips", "chain_skips"), 0)
 
     def leaf(partition: OrderedPartition, inv_path: tuple, path: tuple) -> bool:
         nonlocal chain
@@ -307,9 +301,9 @@ def _search(design: Design, deadline: float) -> tuple:
         to the nearest first-path node."""
         nonlocal order
         _check_deadline(deadline)
-        if partition.is_discrete():
-            return leaf(partition, inv_path, path)
         t = _target_cell(partition)
+        if t is None:
+            return leaf(partition, inv_path, path)
         cell = np.nonzero(partition.cell_ids == t)[0].tolist()
         done: list = []
         by_chain = False  # whether the orbits come from the chain
@@ -342,15 +336,6 @@ def _search(design: Design, deadline: float) -> tuple:
             refined, trace = _refine(design, _individualize(partition, v))
             stats["refines"] += 1
             child_inv = inv_path + (trace,)
-            if leaves:
-                depth = len(child_inv)
-                above = child_inv > leaves["best"][0][:depth]
-                off = child_inv != leaves["first"][0][:depth]
-                stats["above_best"] += above
-                stats["off_first"] += off
-                if above and off:
-                    stats["trace_skips"] += 1
-                    continue  # no leaf below is the best or equals the first
             if dfs(refined, child_inv, path + (v,), on_first and v == cell[0]) and not on_first:
                 return True
         if on_first:

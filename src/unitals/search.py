@@ -129,9 +129,7 @@ class _Searcher:
     def __init__(self, group: CayleyGroup, partial: PartialFamily,
                  budget: SearchBudget | None = None, stats: SearchStats | None = None):
         # quotiented_coverage also checks the mode against the group order
-        per_block, quotiented, undivided = quotiented_coverage(group, partial)
-        if undivided is not None:
-            raise InconsistentPartial("difference counts not divisible by stabilizer")
+        per_block, quotiented = quotiented_coverage(group, partial)
         if quotiented.max() > 1:
             over = int(np.nonzero(quotiented > 1)[0][0])
             raise InconsistentPartial(
@@ -285,10 +283,8 @@ class _Searcher:
 
         free = uncovered & ~(1 << e)
         cands = fitting([(x, 0) for x in range(n)], e, 0, free)
-        seed = [ds for x, ds in cands if x == delta]
-        if not seed:
-            return
-        yield from rec([e, delta], 0, cands, seed[0], free & ~seed[0])
+        seed = pair_table[e][delta]  # delta fits: uncovered differences pair with inverses
+        yield from rec([e, delta], 0, cands, seed, free & ~seed)
 
 
 def complete_family(group: CayleyGroup, partial: PartialFamily,

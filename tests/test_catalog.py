@@ -58,6 +58,12 @@ def test_save_load_round_trip(tmp_path):
         assert entry_to_json(load_entry(out)) == entry_to_json(e)
 
 
+@pytest.mark.parametrize("obj", [[], "ex1-1", None, 7])
+def test_schema_rejects_non_object(obj):
+    with pytest.raises(SchemaError, match="entry must be a JSON object"):
+        entry_from_json(obj)
+
+
 def test_schema_rejects_short_block(ex1_1):
     obj = entry_to_json(ex1_1)
     obj["base_blocks"][0] = obj["base_blocks"][0][:5]

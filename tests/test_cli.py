@@ -54,6 +54,20 @@ def test_verify_corrupted_exits_1(capsys, tmp_path):
     assert "covered" in out  # defect listing
 
 
+def test_verify_json(capsys, tmp_path):
+    code, out, _ = run(capsys, "verify", path_of("ex1-1"), "--json")
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["id"], obj["is_steiner"], obj["block_count"]) == ("ex1-1", True, 525)
+    assert (obj["duplicate_blocks"], obj["pair_coverage_defects"]) == (0, [])
+    code, out, _ = run(capsys, "verify", unverified_ex1_1(tmp_path), "--json")
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["is_steiner"] is False
+    assert obj["pair_coverage_defects"]
+    assert all(count != 1 for _, count in obj["pair_coverage_defects"])
+
+
 def test_verify_bad_json_exits_3(capsys, tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")
@@ -106,12 +120,9 @@ def test_aut_json_reports_the_search(capsys):
     assert code == 0
     obj = json.loads(out)
     assert (obj["id"], obj["order"], obj["complete"]) == ("ex3-1", 756000, True)
-    search = obj["search"]
-    assert set(search) == {"refines", "leaves", "orbit_skips", "chain_skips",
-                           "trace_skips", "above_best", "off_first"}
-    assert 1 <= search["leaves"] < search["refines"] <= 150  # 401 before the chain
-    assert search["chain_skips"] > 0
-    assert search["trace_skips"] <= min(search["above_best"], search["off_first"])
+    # 401 refines before the chain pruned
+    assert obj["search"] == {"refines": 80, "leaves": 67, "orbit_skips": 675,
+                             "chain_skips": 230}
 
 
 def unverified_ex1_1(tmp_path):
@@ -171,6 +182,12 @@ def test_catalog_check_json_reports_stage_timings(capsys):
     record = json.loads(out)
     assert tuple(record["stages_s"]) == STAGES
     assert sum(record["stages_s"].values()) <= record["elapsed_s"] + 0.001  # rounding
+
+
+def test_catalog_check_no_match_exits_3(capsys):
+    code, out, err = run(capsys, "catalog", "check", "--filter", "zz-*")
+    assert code == 3
+    assert (out, err) == ("", "no entries match\n")
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
@@ -241,6 +258,10 @@ def test_search_non_json_group_exits_3(capsys, tmp_path, content):
     {"semidirect": {"normal": {"cyclic": 25}, "actor": {"cyclic": 5}, "action": 7}},
     {"external": "."},
     [125],
+    {"cyclic": 0},
+    {"semidirect": {"normal": {"cyclic": 25},
+                    "actor": {"product": [{"cyclic": 5}, {"cyclic": 1}]},
+                    "action": [[1, 6]]}},
 ])
 def test_search_malformed_spec_exits_3(capsys, tmp_path, spec):
     p = tmp_path / "group.json"
@@ -260,6 +281,16 @@ def test_search_finds_external_table_like_family_files(capsys, tmp_path):
     assert code == 4, err
     assert out == ""
     assert "0 families, 1000 nodes, budget_hit=True" in err
+
+
+def test_search_missing_absolute_table_is_listed_once(capsys, tmp_path):
+    missing = tmp_path / "no_table.txt"
+    p = tmp_path / "group.json"
+    p.write_text(json.dumps({"external": str(missing)}))
+    code, out, err = search_with_group_file(capsys, p)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: no Cayley table at {str(missing)!r} (searched {[str(missing)]})\n"
 
 
 @pytest.mark.parametrize("option, value", [

@@ -25,7 +25,7 @@ from unitals.designs import (
     translation_permutation,
     verify_steiner,
 )
-from unitals.errors import ModeOrderMismatch, NotAPermutation, SchemaError
+from unitals.errors import LabelNotInGroup, ModeOrderMismatch, NotAPermutation, SchemaError
 from unitals.groups import INF, Cyclic, build_group
 
 
@@ -71,6 +71,27 @@ def test_family_validation():
         DifferenceFamily(Mode.TRANSITIVE, [[0, 1, 2, 3, 4, 4]])  # repeat
     with pytest.raises(SchemaError):
         DifferenceFamily(Mode.TRANSITIVE, [[0, 1, 2, 3, 4, INF]])  # ∞ needs 1-rotational
+    with pytest.raises(SchemaError, match="repeated entries"):
+        DifferenceFamily(Mode.ONE_ROTATIONAL, [[0, 1, 2, 3, INF, INF]])
+
+
+@pytest.mark.parametrize("block, one_rotational, error, message", [
+    ([0, 1, 1], False, SchemaError, r"block \(0, 0, 6\) has repeated points"),  # 6 + B
+    ([0, 1, 8], False, LabelNotInGroup, "out-of-range entries"),
+    ([0, -1, 2], True, LabelNotInGroup, "out-of-range entries"),
+    ([0, 1, 7], False, LabelNotInGroup, "∞ point requires 1-rotational mode"),
+], ids=["repeated", "above-range", "negative", "infinity-transitive"])
+def test_develop_blocks_rejects_bad_points(block, one_rotational, error, message):
+    with pytest.raises(error, match=message):
+        develop_blocks(build_group(Cyclic(7)), [[0, 2], block], one_rotational)
+
+
+def test_from_blocks_names_the_least_bad_block():
+    blocks = [[5, 200, 3], [4, 2, 2], [0, 1], [9, 130]]
+    with pytest.raises(SchemaError, match=r"block \(2, 2, 4\) has repeated points"):
+        Design.from_blocks(blocks, 126)
+    with pytest.raises(SchemaError, match=r"block \(3, 5, 200\) outside point range 0..125"):
+        Design.from_blocks(blocks[:1] + blocks[2:], 126)
 
 
 def test_verify_ex1_1_is_steiner(design_ex1_1):

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 from conftest import entry
+from unitals.catalog import catalog_dir
 from unitals.designs import DifferenceFamily, Mode, develop, verify_steiner
 from unitals.difference import (
     block_differences,
@@ -12,7 +13,7 @@ from unitals.difference import (
     quotiented_coverage,
 )
 from unitals.errors import IndexOutOfRange
-from unitals.groups import Cyclic, build_group, subgroups_of_order
+from unitals.groups import INF, Cyclic, build_group, subgroups_of_order
 
 
 def slow_differences(group, block):
@@ -190,3 +191,43 @@ def test_block_differences_empty_block(z125):
 def test_block_differences_range_checked(z125, block):
     with pytest.raises(IndexOutOfRange):
         block_differences(z125, [block])
+
+
+def coset_unions(group, s):
+    """Every union of an order-s subgroup S with 6 // s - 1 further right
+    cosets S*x, as one (m, 6 // s * s) array: the search's stabilized
+    candidates before they are filtered to the quotient-exact ones, and for
+    s = 5 the finite parts of the ∞-blocks."""
+    r = 6 // s - 1
+    unions = []
+    for sub in subgroups_of_order(group, s):
+        sub = sorted(sub)
+        cosets = np.unique(np.sort(group.table[sub].T, axis=1), axis=0)
+        others = cosets[(cosets != group.identity).all(axis=1)]
+        for extra in itertools.combinations(others, r):
+            unions.append(np.concatenate([sub, *extra]))
+    return np.array(unions).reshape(len(unions), r * s + s)
+
+
+@pytest.mark.parametrize("list_key", sorted(p.name for p in catalog_dir().iterdir()))
+def test_stabilizer_order_divides_every_difference_count(list_key):
+    """h in the stabilizer S sends a pair (a, b) of B to (ha, hb), which has
+    the same difference, and only e fixes a pair; so |S| divides each count
+    and quotiented_coverage can divide exactly."""
+    g = entry(f"{list_key}-1").group()
+    rng = np.random.default_rng(5)
+    blocks = [coset_unions(g, s) for s in (2, 3, 5, 6) if g.order % s == 0]
+    blocks.append(np.array([rng.choice(g.order, size=6, replace=False) for _ in range(300)]))
+    largest = 0
+    for rows in blocks:
+        counts, stabs = block_differences(g, rows)
+        assert not (counts % stabs[:, None]).any()
+        largest = max(largest, stabs.max())
+    assert largest > 1  # some block has a stabilizer to divide by
+
+
+def test_one_rotational_family_without_infinity_block(z125, ex1_1):
+    full = [b for b in ex1_1.base_blocks if INF not in b]
+    chk = check_difference_family(z125, DifferenceFamily(Mode.ONE_ROTATIONAL, full))
+    assert not chk.ok
+    assert chk.defects[-1] == "no ∞-block: pairs {x, ∞} uncovered"

@@ -275,6 +275,8 @@ def test_classical_unital_relabeled_has_full_group():
     assert count == (756000, True)
     assert all(is_block_invariant(d, g) for g in gens)
     assert canonical_key(d) == CLASSICAL_KEY
+    assert d._cache["aut_stats"] == {"refines": 794, "leaves": 750, "orbit_skips": 1672,
+                                     "chain_skips": 0}
 
 
 def group_closure(gens, n):
