@@ -269,13 +269,11 @@ def reproduce(entry: CatalogEntry) -> ReproductionRecord:
 
 
 def catalog_check(entries: Iterable[CatalogEntry], threads: int = 1) -> list:
-    """ReproductionRecords for all entries, sorted by entry id."""
-    entries = list(entries)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(reproduce, entries))
-    else:
-        records = [reproduce(e) for e in entries]
-    return sorted(records, key=lambda r: _entry_sort_key(r.entry_id))
+    """ReproductionRecords for all entries, sorted by entry id, made one after
+    another.  To use several CPUs, run one process per id glob, e.g.
+    ``'*[02468]'`` and ``'*[13579]'``.  ``threads`` must be 1; it stays only
+    while the benchmark harness passes it (ROADMAP item 7)."""
+    if threads != 1:
+        raise ValueError(f"catalog_check runs serially; threads must be 1, got {threads}")
+    return sorted([reproduce(e) for e in entries],
+                  key=lambda r: _entry_sort_key(r.entry_id))

@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from itertools import groupby
 from pathlib import Path
 
 from . import catalog as cat
@@ -31,7 +32,7 @@ EXIT_BUDGET = 4
 
 
 def positive(kind):
-    """argparse type for a budget or a thread count: a number of ``kind`` above 0."""
+    """argparse type for a search budget: a number of ``kind`` above 0."""
     def parse(text: str):
         value = kind(text)  # argparse reports a ValueError as "invalid <kind> value"
         if not value > 0:
@@ -81,7 +82,6 @@ def _parser() -> argparse.ArgumentParser:
     cp.add_argument("--filter", default=None, help="id glob, e.g. 'ex1-*'")
     cp.add_argument("--required", action="store_true",
                     help="only the fully transcribed required lists")
-    cp.add_argument("--threads", type=positive(int), default=1)
     cp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("search", help="bounded difference-family search")
@@ -207,7 +207,7 @@ def _cmd_catalog_check(args) -> int:
     if not entries:
         print("no entries match", file=sys.stderr)
         return EXIT_INPUT
-    records = cat.catalog_check(entries, threads=args.threads)
+    records = cat.catalog_check(entries)
     for r in records:
         if args.json:
             print(json.dumps({
@@ -223,6 +223,13 @@ def _cmd_catalog_check(args) -> int:
             status = "PASS" if r.ok else "FAIL"
             print(f"{r.entry_id:>14}  {status}  steiner={r.steiner_ok} "
                   f"fingerprint={r.fingerprint_match}  {r.elapsed_s:.2f}s")
+    print(f"{'list':>10}  pass/total", file=sys.stderr)
+    for key, group in groupby(records, lambda r: r.entry_id.rpartition("-")[0]):
+        oks = [r.ok for r in group]  # records come sorted by list, then number
+        print(f"{key:>10}  {sum(oks)}/{len(oks)}", file=sys.stderr)
+    print("stages summed over entries: " + ", ".join(
+        f"{name} {sum(r.stages_s[name] for r in records):.2f}s" for name in cat.STAGES),
+        file=sys.stderr)
     passed = sum(r.ok for r in records)
     print(f"{passed}/{len(records)} entries pass", file=sys.stderr)
     return EXIT_OK if passed == len(records) else EXIT_MISMATCH

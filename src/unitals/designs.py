@@ -187,12 +187,13 @@ def develop_blocks(group: CayleyGroup, base_blocks: Sequence[Sequence[int]],
     for translates, block in zip(rows, base_blocks):
         if any(not 0 <= p <= n for p in block):
             raise LabelNotInGroup(f"block {block} has out-of-range entries")
+        if len(set(block)) != len(block):  # action rows permute: translates need no check
+            raise SchemaError(f"block {block} has repeated points")
         if n in block and not one_rotational:
             raise LabelNotInGroup("∞ point requires 1-rotational mode")
         translates[:, :len(block)] = np.sort(action[:, block], axis=1)  # row g = g*B
     rows = rows.reshape(len(base_blocks) * n, width)
     rows = rows[first_rows(rows)]
-    _check_points(rows, rows >= 0, n_points)
     labels = group.labels + ((INF,) if one_rotational else ())
     return Design(n_points, rows, labels, action)
 

@@ -239,8 +239,6 @@ class ValidationReport:
         return {k for k, _ in self.failures}
 
     def __str__(self):
-        if self.ok:
-            return "table is a valid group"
         return "\n".join(f"{kind}: {msg}" for kind, msg in self.failures)
 
 

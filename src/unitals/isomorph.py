@@ -177,9 +177,6 @@ class AutomorphismCount(NamedTuple):
     order: int
     complete: bool  # False when the time budget cut the count short
 
-    def __int__(self):
-        return self.order
-
 
 def automorphism_generators(design: Design,
                             time_budget_s: float = 600.0) -> tuple:

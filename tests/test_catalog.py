@@ -1,10 +1,12 @@
 """Catalog loading, schema, reproduction and group resolution."""
 
+import ast
 import json
 from pathlib import Path
 
 import pytest
 
+import unitals
 from conftest import entry
 from unitals.catalog import (
     FINGERPRINT_SHARING_PAIRS,
@@ -154,6 +156,29 @@ def test_whole_catalog_reproduces_bit_exactly():
     failures = [(r.entry_id, r.steiner_ok, str(r.computed_fingerprint))
                 for r in records if not (r.steiner_ok and r.fingerprint_match)]
     assert not failures
+
+
+@pytest.mark.parametrize("threads", [0, 2])
+def test_catalog_check_refuses_threads_other_than_one(threads):
+    with pytest.raises(ValueError, match="threads must be 1"):
+        catalog_check([entry("ex1-1")], threads=threads)
+
+
+def test_src_starts_no_threads():
+    """No module imports concurrent.futures or threading: a catalog pass is
+    serial, and several CPUs are used by one process per id glob."""
+    found = []
+    for path in sorted(Path(unitals.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] in ("concurrent", "threading")]
+    assert not found
 
 
 def test_group_unavailable(tmp_path, ex1_1):

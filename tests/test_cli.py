@@ -164,16 +164,41 @@ def test_catalog_check_filter(capsys):
     assert "8/8 entries pass" in err
 
 
-def test_catalog_check_threads_agree(capsys):
-    code1, out1, _ = run(capsys, "catalog", "check", "--filter", "ex5-*", "--json")
-    code2, out2, _ = run(capsys, "catalog", "check", "--filter", "ex5-*", "--json",
-                         "--threads", "4")
-    assert code1 == code2 == 0
-    strip = lambda s: [
-        {k: v for k, v in json.loads(l).items() if k not in ("elapsed_s", "stages_s")}
-        for l in s.splitlines() if l.startswith("{")
-    ]
-    assert strip(out1) == strip(out2)
+def json_records(out: str) -> list:
+    """--json stdout records without their timings."""
+    return [{k: v for k, v in json.loads(l).items() if k not in ("elapsed_s", "stages_s")}
+            for l in out.splitlines()]
+
+
+def test_catalog_check_parity_globs_split_the_records(capsys):
+    whole, halves = [], []
+    for glob in ("ex5-*", "ex5-*[02468]", "ex5-*[13579]"):
+        code, out, _ = run(capsys, "catalog", "check", "--filter", glob, "--json")
+        assert code == 0
+        (whole if glob == "ex5-*" else halves).extend(json_records(out))
+    assert len(whole) == 8
+    assert sorted(halves, key=lambda r: int(r["id"].rpartition("-")[2])) == whole
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["human", "json"])
+def test_catalog_check_stderr_ends_with_summary(capsys, json_flag):
+    code, _, err = run(capsys, "catalog", "check", "--filter", "ex1-*", *json_flag)
+    assert code == 0
+    lines = err.splitlines()
+    assert lines[:2] == ["      list  pass/total", "       ex1  8/8"]
+    assert re.fullmatch(r"stages summed over entries: " + ", ".join(
+        rf"{name} \d+\.\d\ds" for name in STAGES), lines[2])
+    assert lines[3:] == ["8/8 entries pass"]
+
+
+def test_catalog_check_required_filter(capsys):
+    code, out, err = run(capsys, "catalog", "check", "--required",
+                         "--filter", "sg126-8-*", "--json")
+    assert code == 0
+    assert [(r["id"], r["pass"]) for r in json_records(out)] == [
+        ("sg126-8-25", True), ("sg126-8-38", True)]
+    assert "   sg126-8  2/2" in err.splitlines()
+    assert err.endswith("2/2 entries pass\n")
 
 
 def test_catalog_check_json_reports_stage_timings(capsys):
@@ -188,14 +213,6 @@ def test_catalog_check_no_match_exits_3(capsys):
     code, out, err = run(capsys, "catalog", "check", "--filter", "zz-*")
     assert code == 3
     assert (out, err) == ("", "no entries match\n")
-
-
-@pytest.mark.parametrize("threads", ["0", "-3"])
-def test_catalog_check_threads_below_one_is_usage_error(capsys, threads):
-    with pytest.raises(SystemExit) as exc:
-        main(["catalog", "check", "--filter", "ex1-1", "--threads", threads])
-    assert exc.value.code == 2
-    assert "must be positive" in capsys.readouterr().err
 
 
 def test_group_validate(capsys, tmp_path):

@@ -76,7 +76,7 @@ def test_family_validation():
 
 
 @pytest.mark.parametrize("block, one_rotational, error, message", [
-    ([0, 1, 1], False, SchemaError, r"block \(0, 0, 6\) has repeated points"),  # 6 + B
+    ([0, 1, 1], False, SchemaError, r"block \[0, 1, 1\] has repeated points"),
     ([0, 1, 8], False, LabelNotInGroup, "out-of-range entries"),
     ([0, -1, 2], True, LabelNotInGroup, "out-of-range entries"),
     ([0, 1, 7], False, LabelNotInGroup, "∞ point requires 1-rotational mode"),

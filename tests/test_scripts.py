@@ -26,22 +26,6 @@ def test_classify_all_prints_one_line_per_entry():
     assert "1 entries, 0 failures" in proc.stderr
 
 
-def test_reproduce_all_reproduces_a_list():
-    proc = run_script("reproduce_all.py", "ex1-*")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "8/8 entries reproduce" in proc.stdout
-    assert "FAIL" not in proc.stdout
-    assert "stages summed over entries: group " in proc.stdout
-
-
-@pytest.mark.parametrize("threads", ["0", "-3"])
-def test_reproduce_all_threads_below_one_is_usage_error(threads):
-    proc = run_script("reproduce_all.py", "ex1-1", "--threads", threads)
-    assert proc.returncode == 2
-    assert "must be positive" in proc.stderr
-    assert proc.stdout == ""
-
-
 @pytest.mark.parametrize("workload", ["reproduce", "classify", "search"])
 def test_benchmark_smoke_mode_runs(workload):
     # the harness under perfbench/ calls the package's API; a break there
