@@ -8,6 +8,7 @@ format as optional extras.
 
 from __future__ import annotations
 
+import fnmatch
 import json
 import time
 from dataclasses import dataclass
@@ -21,6 +22,8 @@ from .groups import (
     CayleyGroup,
     External,
     GroupSpec,
+    Product,
+    Semidirect,
     build_group,
     label_from_json,
     label_to_json,
@@ -170,31 +173,20 @@ def _entry_sort_key(entry_id: str):
     return (head, int(num))
 
 
-def iter_entry_paths(filter_glob: str | None = None) -> list:
-    import fnmatch
-
-    paths = []
-    for p in catalog_dir().rglob("*.json"):
-        if filter_glob is None or fnmatch.fnmatch(p.stem, filter_glob):
-            paths.append(p)
+def iter_entry_paths(filter_glob: str | None = None, required: bool = False) -> list:
+    """Paths of the entries whose id matches filter_glob, in id order; when
+    required, only those of the required lists and the fingerprint-sharing
+    pairs."""
+    paths = [p for p in catalog_dir().rglob("*.json")
+             if (filter_glob is None or fnmatch.fnmatch(p.stem, filter_glob))
+             and (not required or _is_required(p.stem))]
     return sorted(paths, key=lambda p: _entry_sort_key(p.stem))
 
 
-def required_entry_ids() -> list:
-    ids = []
-    for key, size in REQUIRED_LIST_SIZES.items():
-        ids.extend(f"{key}-{j}" for j in range(1, size + 1))
-    for pair in FINGERPRINT_SHARING_PAIRS:
-        ids.extend(pair)
-    return ids
-
-
-def load_required_entries() -> list:
-    by_id = {}
-    for eid in required_entry_ids():
-        key = eid.rpartition("-")[0]
-        by_id[eid] = load_entry(catalog_dir() / key / f"{eid}.json")
-    return list(by_id.values())
+def _is_required(entry_id: str) -> bool:
+    key, number = _entry_sort_key(entry_id)
+    return (number <= REQUIRED_LIST_SIZES.get(key, 0)
+            or any(entry_id in pair for pair in FINGERPRINT_SHARING_PAIRS))
 
 
 _group_cache: dict = {}
@@ -202,24 +194,34 @@ _group_cache: dict = {}
 
 def build_spec_group(spec: GroupSpec, spec_path: Path | None) -> CayleyGroup:
     """The group of a spec read from the file spec_path (an entry or a bare
-    spec), built once per spec.  An external table is looked up in spec_path's
-    directory, then in the package data directory, then in the working
-    directory; it is keyed by its path as written and spec_path's directory,
-    so a hit reads no file."""
-    if isinstance(spec, External):
-        key = ("external", spec.path, spec_path.parent if spec_path else None)
-    else:
-        key = ("spec", spec)
+    spec), built once per spec and directory.  Every external table in the
+    spec, at any depth, is found by ``_resolve_table_path``; the key is the
+    spec as written and spec_path's directory, so a hit reads no file."""
+    key = (spec, spec_path.parent if spec_path else None)
     cached = _group_cache.get(key)
-    if cached is not None:
-        return cached
+    if cached is None:
+        cached = _group_cache[key] = build_group(_with_tables_found(spec, spec_path))
+    return cached
+
+
+def _with_tables_found(spec: GroupSpec, spec_path: Path | None) -> GroupSpec:
+    """The spec with the path of each external table in it replaced by the
+    file ``_resolve_table_path`` finds."""
     if isinstance(spec, External):
-        spec = External(str(_resolve_table_path(spec.path, spec_path)))
-    group = _group_cache[key] = build_group(spec)
-    return group
+        return External(str(_resolve_table_path(spec.path, spec_path)))
+    if isinstance(spec, Product):
+        return Product(_with_tables_found(spec.left, spec_path),
+                       _with_tables_found(spec.right, spec_path))
+    if isinstance(spec, Semidirect):
+        return Semidirect(_with_tables_found(spec.normal, spec_path),
+                          _with_tables_found(spec.actor, spec_path), spec.action)
+    return spec
 
 
 def _resolve_table_path(raw: str, spec_path: Path | None) -> Path:
+    """The first existing file among raw in spec_path's directory, in the
+    package data directory and in the working directory, or GroupUnavailable
+    naming each candidate once."""
     p = Path(raw)
     roots = ([spec_path.parent] if spec_path is not None else []) + [data_dir(), Path()]
     candidates = list(dict.fromkeys(root / p for root in roots))  # p alone, if absolute

@@ -196,14 +196,7 @@ def _cmd_aut(args) -> int:
 
 
 def _cmd_catalog_check(args) -> int:
-    if args.required:
-        entries = cat.load_required_entries()
-        if args.filter:
-            import fnmatch
-
-            entries = [e for e in entries if fnmatch.fnmatch(e.id, args.filter)]
-    else:
-        entries = [cat.load_entry(p) for p in cat.iter_entry_paths(args.filter)]
+    entries = [cat.load_entry(p) for p in cat.iter_entry_paths(args.filter, args.required)]
     if not entries:
         print("no entries match", file=sys.stderr)
         return EXIT_INPUT
@@ -272,7 +265,7 @@ def _cmd_search(args) -> int:
 def _cmd_group_validate(args) -> int:
     try:
         load_cayley_table(args.table)
-    except UnitalsError as exc:
+    except (OSError, UnitalsError) as exc:  # also a missing path or a directory
         print(exc)
         return EXIT_MISMATCH
     print("table is a valid group")

@@ -5,8 +5,11 @@ set is { g*B : g in G, B a base block }, deduplicated.  In 1-rotational mode
 (|G| = 125) the extra fixed point ∞ gets the last point index |G|; in
 transitive mode (|G| = 126) the points are exactly the group elements.
 
-A design's blocks are one sorted int array, ``Design.block_rows``, which every
-pair index and block-image check reads; ``relabel`` conjugates the action.
+A design's blocks are one (B, k) int array, ``Design.block_rows``: every block
+has k points, and every entry is a point.  Every pair index and block-image
+check reads it.  A design always carries the group of point permutations it
+was developed by, ``Design.action``; one built from bare blocks carries the
+identity alone, and ``relabel`` conjugates the action.
 Every lexicographic order of rows, here and in the modules that import this
 one, is taken through ``row_keys``.
 """
@@ -65,13 +68,14 @@ class Design:
     """Developed design: sorted block array, pair->line index, developing action."""
 
     n_points: int
-    #: (B, k) int64, one block per row: its points ascending, then -1 padding
-    #: when the block is shorter than the longest; rows in lexicographic order
+    #: (B, k) int64, one block per row, its points ascending; rows in
+    #: lexicographic order
     block_rows: np.ndarray = field(repr=False)
     labels: tuple  # point index -> ElementLabel (∞ last in 1-rotational mode)
     #: (|G|, n) point permutations the blocks were developed by (row g: x -> g*x,
-    #: ∞ fixed), so all of them are automorphisms; None when unknown
-    action: np.ndarray | None = field(default=None, repr=False)
+    #: ∞ fixed), so all of them are automorphisms; the identity, (1, n), when
+    #: the design was built from bare blocks
+    action: np.ndarray = field(repr=False)
     line_of: np.ndarray = field(init=False, repr=False)  # (n, n) int32, -1 sentinel
     coverage: np.ndarray = field(init=False, repr=False)  # (n, n) int32, [p<q] count
     _cache: dict = field(default_factory=dict, repr=False)
@@ -83,15 +87,14 @@ class Design:
     @classmethod
     def from_blocks(cls, blocks: Sequence[Sequence[int]], n_points: int,
                     labels: Sequence[ElementLabel] | None = None) -> "Design":
-        lengths = np.array([len(b) for b in blocks], dtype=np.int64)
-        real = np.arange(lengths.max(initial=0)) < lengths[:, None]
-        rows = np.full(real.shape, np.iinfo(np.int64).max)
-        rows[real] = [int(p) for b in blocks for p in b]
-        rows.sort(axis=1)  # a block's points fill its row's first lengths[i] places
-        _check_points(rows, real, n_points)
-        rows[~real] = -1
+        """The design of the given blocks, with the identity as its action."""
+        width = _width(blocks)
+        rows = np.array(blocks, dtype=np.int64).reshape(len(blocks), width)
+        rows.sort(axis=1)
+        _check_points(rows, n_points)
         labels = range(n_points) if labels is None else labels
-        return cls(n_points, rows[np.argsort(row_keys(rows), kind="stable")], labels)
+        return cls(n_points, rows[np.argsort(row_keys(rows), kind="stable")], labels,
+                   np.arange(n_points)[None])
 
     @property
     def block_count(self) -> int:
@@ -100,7 +103,7 @@ class Design:
     @cached_property
     def blocks(self) -> tuple:
         """The blocks as tuples of point indices, in block_rows order."""
-        return tuple(tuple(p for p in row if p >= 0) for row in self.block_rows.tolist())
+        return tuple(map(tuple, self.block_rows.tolist()))
 
     @cached_property
     def point_lines(self) -> np.ndarray:
@@ -112,26 +115,28 @@ class Design:
         lines = np.argsort(rows.ravel(), kind="stable") // rows.shape[1]
         return lines.reshape(self.n_points, -1)
 
-    def orbits(self) -> tuple:
-        """(action or the trivial group, least point of each point's orbit)."""
-        action = self.action
-        if action is None:
-            action = np.arange(self.n_points)[None]
-        return action, action.min(axis=0)
-
     def format_block(self, index: int) -> str:
         return " ".join(format_element_label(self.labels[p], compact=True)
                         for p in self.blocks[index])
 
 
-def _check_points(rows: np.ndarray, real: np.ndarray, n_points: int) -> None:
-    """SchemaError for the first block, in tuple order, with a repeated point or
-    one outside 0..n_points-1 (a block: the real entries of a sorted row)."""
-    outside = ((rows < 0) | (rows >= n_points)) & real
-    bad = outside.any(axis=1) | ((rows[:, 1:] == rows[:, :-1]) & real[:, 1:]).any(axis=1)
+def _width(blocks: Sequence[Sequence[int]]) -> int:
+    """The number of points of every block (0 when there are none), or
+    SchemaError when the blocks differ in size."""
+    widths = sorted({len(b) for b in blocks})
+    if len(widths) > 1:
+        raise SchemaError(f"blocks of differing sizes {widths}")
+    return widths[0] if widths else 0
+
+
+def _check_points(rows: np.ndarray, n_points: int) -> None:
+    """SchemaError for the first block, in tuple order, of the sorted rows that
+    repeats a point or has one outside 0..n_points-1."""
+    outside = (rows < 0) | (rows >= n_points)
+    bad = outside.any(axis=1) | (rows[:, 1:] == rows[:, :-1]).any(axis=1)
     if not bad.any():
         return
-    b = min(tuple(row[keep].tolist()) for row, keep in zip(rows[bad], real[bad]))
+    b = min(map(tuple, rows[bad].tolist()))
     if len(set(b)) != len(b):
         raise SchemaError(f"block {b} has repeated points")
     raise SchemaError(f"block {b} outside point range 0..{n_points - 1}")
@@ -141,12 +146,10 @@ def _pair_pass(rows: np.ndarray, n: int) -> tuple:
     """(line_of, coverage) over every point pair p < q of every block; the
     first block through a pair is its line when several cover it."""
     j, k = np.triu_indices(rows.shape[1], k=1)
-    lows, highs = rows[:, j].ravel(), rows[:, k].ravel()
-    real = np.flatnonzero(highs >= 0)  # padding sits right of a block's points
-    pairs = lows[real] * n + highs[real]
+    pairs = (rows[:, j] * n + rows[:, k]).ravel()
     coverage = np.bincount(pairs, minlength=n * n).astype(np.int32).reshape(n, n)
     first = np.full((n, n), len(rows), dtype=np.int32)
-    np.minimum.at(first.ravel(), pairs, (real // len(j)).astype(np.int32))
+    np.minimum.at(first.ravel(), pairs, np.arange(len(rows), dtype=np.int32).repeat(len(j)))
     line_of = np.minimum(first, first.T)
     line_of[line_of == len(rows)] = -1
     return line_of, coverage
@@ -177,22 +180,22 @@ def develop(group: CayleyGroup, family: DifferenceFamily) -> Design:
 
 def develop_blocks(group: CayleyGroup, base_blocks: Sequence[Sequence[int]],
                    one_rotational: bool = False) -> Design:
-    """Development of raw index blocks (any block size; used by search too)."""
+    """Development of raw index blocks (any one block size; used by search too)."""
     n = group.order  # also the index of ∞
     n_points = n + 1 if one_rotational else n
     fixed = np.full((n, n_points - n), n, dtype=group.table.dtype)
     action = np.hstack([group.table, fixed])  # ∞ is fixed by every translation
-    width = max(map(len, base_blocks), default=0)
-    rows = np.full((len(base_blocks), n, width), -1, dtype=np.int64)
-    for translates, block in zip(rows, base_blocks):
+    width = _width(base_blocks)
+    for block in base_blocks:
         if any(not 0 <= p <= n for p in block):
             raise LabelNotInGroup(f"block {block} has out-of-range entries")
         if len(set(block)) != len(block):  # action rows permute: translates need no check
             raise SchemaError(f"block {block} has repeated points")
         if n in block and not one_rotational:
             raise LabelNotInGroup("∞ point requires 1-rotational mode")
-        translates[:, :len(block)] = np.sort(action[:, block], axis=1)  # row g = g*B
-    rows = rows.reshape(len(base_blocks) * n, width)
+    base = np.array(base_blocks, dtype=np.int64).reshape(len(base_blocks), width)
+    rows = np.sort(action[:, base], axis=2).astype(np.int64)  # [g, i] = g*B_i
+    rows = rows.reshape(n * len(base_blocks), width)
     rows = rows[first_rows(rows)]
     labels = group.labels + ((INF,) if one_rotational else ())
     return Design(n_points, rows, labels, action)
@@ -275,7 +278,6 @@ def verify_steiner(design: Design) -> VerificationReport:
         and design.block_count == BLOCK_COUNT
         and design.n_points == N_POINTS
         and rows.shape[1] == BLOCK_SIZE
-        and bool((rows >= 0).all())
         and duplicates == 0
     )
     design._cache["steiner_ok"] = is_steiner
@@ -290,10 +292,8 @@ def relabel(design: Design, permutation: Sequence[int]) -> Design:
     if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
         raise NotAPermutation(f"not a bijection on 0..{n - 1}")
     labels = (design.labels[p] for p in np.argsort(perm).tolist())
-    action = design.action
-    if action is not None:
-        action = np.empty_like(action)
-        action[:, perm] = perm[design.action]
+    action = np.empty_like(design.action)
+    action[:, perm] = perm[design.action]
     return Design(n, block_image(design, perm), labels, action)
 
 
@@ -307,10 +307,8 @@ def translation_permutation(group: CayleyGroup, g: int, one_rotational: bool) ->
 
 def block_image(design: Design, perm: Sequence[int]) -> np.ndarray:
     """The blocks mapped by perm, in ``Design.block_rows`` form: each row's
-    points ascending, then -1 padding, rows in lexicographic order."""
-    n = design.n_points
-    image = np.sort(np.append(perm, n)[design.block_rows], axis=1)  # padding -> n, last
-    image[image == n] = -1
+    points ascending, rows in lexicographic order."""
+    image = np.sort(np.asarray(perm)[design.block_rows], axis=1)
     return image[np.argsort(row_keys(image), kind="stable")]
 
 

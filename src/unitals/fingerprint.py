@@ -87,14 +87,14 @@ def pair_histograms(design: Design) -> np.ndarray:
 
     The histograms are invariant under automorphisms, so only one origin per
     orbit of the design's action goes through the kernel and [g*o, g*y] =
-    [o, y] fills the rest; a design without an action has one-point orbits.
+    [o, y] fills the rest; under the identity action every orbit is one point.
     """
     cached = design._cache.get("pair_histograms")
     if cached is not None:
         return cached
     _require_steiner(design)
-    action, minima = design.orbits()
-    reps = np.unique(minima)  # one origin per orbit
+    action = design.action
+    reps = np.unique(action.min(axis=0))  # one origin per orbit
     # the kernel's temporaries are freed before hist is allocated: a
     # reproduction then peaks at about 2.3 MB of heap (tracemalloc), which stays
     # under glibc's trim threshold, so its pages are reused, not faulted in again

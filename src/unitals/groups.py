@@ -148,7 +148,9 @@ def _spec_from_json(obj) -> GroupSpec:
             action,
         )
     if kind == "external":
-        return External(str(val))
+        if not isinstance(val, str):
+            raise ParseError(f"external table path must be a string, got {val!r}")
+        return External(val)
     raise ParseError(f"unknown group spec kind {kind!r}")
 
 

@@ -1,16 +1,17 @@
 """Design isomorphism, automorphism group order, canonical keys.
 
-All three run on the same machinery: an equitable-partition refinement whose
-cells are numbered canonically (by sorted signature content), seeded with the
-per-point fingerprint profiles, and an individualization backtracking search
-that skips the orbits of done siblings under the automorphisms known to fix
-the current path and, on the first path, under the stabilizer of the path in
-the group those automorphisms generate, read off a stabilizer chain that grows
-as they are found.  Block degree is constant in a Steiner system, so the
-profile seed is what breaks the initial symmetry.  One traversal of the
-search tree gives |Aut|, the canonical key and the canonical labeling
-(``_search``); two designs are isomorphic when their keys are equal, and
-their two labelings compose to the witness.
+All three run on the same machinery: an equitable-partition refinement,
+seeded with the per-point fingerprint profiles, whose cells are numbered
+0..c-1 canonically (by sorted signature content), so that a partition is
+the bare array of its points' cell ids; and an individualization
+backtracking search that skips the orbits of done siblings under the
+automorphisms known to fix the current path and, on the first path, under the
+stabilizer of the path in the group those automorphisms generate, read off a
+stabilizer chain that grows as they are found.  Block degree is constant in
+a Steiner system, so the profile seed is what breaks the initial symmetry.
+One traversal of the search tree gives |Aut|, the canonical key and the
+canonical labeling (``_search``); two designs are isomorphic when their keys
+are equal, and their two labelings compose to the witness.
 """
 
 from __future__ import annotations
@@ -25,14 +26,6 @@ import numpy as np
 
 from .designs import Design, block_image, is_block_invariant, maps_blocks, row_keys
 from .fingerprint import fingerprint, pair_histograms, point_histograms
-
-
-@dataclass
-class OrderedPartition:
-    """Disjoint point cells covering all points, in canonical cell order."""
-
-    cell_ids: np.ndarray  # (n,) int64, cell index per point
-    n_cells: int
 
 
 def _pair_codes(design: Design) -> np.ndarray:
@@ -59,29 +52,32 @@ def _pair_codes(design: Design) -> np.ndarray:
 
 def _rank_rows(rows: np.ndarray) -> tuple:
     """(codes, n_codes): canonical rank of each row under lexicographic order,
-    np.unique's ranking of the rows' ``row_keys``."""
+    np.unique's ranking of the rows' ``row_keys``, so the codes are exactly
+    0..n_codes-1."""
     uniq, codes = np.unique(row_keys(rows), return_inverse=True)
     return codes.astype(np.int64, copy=False), len(uniq)
 
 
 def _refine(design: Design, cell_ids: np.ndarray) -> tuple:
-    """Stable refinement under line cell-signatures; returns (partition, trace).
+    """Stable refinement under line cell-signatures; returns (cell_ids, trace).
 
-    A point's signature combines its own cell, the multiset of its lines'
-    cell profiles, and the codes of the lines joining it to every singleton
-    cell.  Cell numbering is canonical (lexicographic in signature content),
-    so isomorphic configurations refine to identically numbered partitions.
+    A partition is its (n,) int64 array of cell ids, one per point, the cells
+    numbered 0..c-1 in canonical order.  A point's signature combines its own
+    cell, the multiset of its lines' cell profiles, and the codes of the lines
+    joining it to every singleton cell.  Cell numbering is canonical
+    (lexicographic in signature content), so isomorphic configurations refine
+    to identically numbered partitions.
     """
     n = len(cell_ids)
     line_of = design.line_of
-    cell_ids, n_cells = _rank_rows(cell_ids.reshape(-1, 1))
+    cell_ids, count = _rank_rows(cell_ids.reshape(-1, 1))
     trace = []
     while True:
         line_rows = np.sort(cell_ids[design.block_rows], axis=1)
         line_codes, _ = _rank_rows(line_rows)
         point_rows = np.sort(line_codes[design.point_lines], axis=1)
         parts = [cell_ids.reshape(-1, 1), point_rows]
-        sizes0 = np.bincount(cell_ids, minlength=n_cells)
+        sizes0 = np.bincount(cell_ids)
         single_cells = np.nonzero(sizes0 == 1)[0]
         if len(single_cells):
             order = np.argsort(cell_ids, kind="stable")
@@ -94,29 +90,25 @@ def _refine(design: Design, cell_ids: np.ndarray) -> tuple:
             parts.append(sig2)
             parts.append(_pair_codes(design)[:, singles])
         combined = np.concatenate(parts, axis=1)
-        new_ids, new_count = _rank_rows(combined)
-        sizes = tuple(np.bincount(new_ids, minlength=new_count).tolist())
-        trace.append(sizes)
-        if new_count == n_cells:
-            cell_ids = new_ids
+        before = count
+        cell_ids, count = _rank_rows(combined)
+        trace.append(tuple(np.bincount(cell_ids).tolist()))
+        if count in (before, n):  # stable, or discrete
             break
-        cell_ids, n_cells = new_ids, new_count
-        if n_cells == n:
-            break
-    return OrderedPartition(cell_ids, n_cells), tuple(trace)
+    return cell_ids, tuple(trace)
 
 
-def _individualize(partition: OrderedPartition, v: int) -> np.ndarray:
+def _individualize(cell_ids: np.ndarray, v: int) -> np.ndarray:
     """Cell ids with v alone in a cell just before the rest of its cell
     (not yet ranked: _refine ranks them first)."""
-    key = partition.cell_ids * 2
+    key = cell_ids * 2
     key[v] -= 1
     return key
 
 
-def _target_cell(partition: OrderedPartition) -> int | None:
+def _target_cell(cell_ids: np.ndarray) -> int | None:
     """Smallest non-singleton cell, ties broken by lowest cell index; None if discrete."""
-    sizes = np.bincount(partition.cell_ids, minlength=partition.n_cells)
+    sizes = np.bincount(cell_ids)  # the cells are 0..c-1, so none is left out
     candidates = np.nonzero(sizes > 1)[0]
     if len(candidates) == 0:
         return None
@@ -124,12 +116,12 @@ def _target_cell(partition: OrderedPartition) -> int | None:
     return int(best)
 
 
-def initial_partition(design: Design) -> OrderedPartition:
-    """Points grouped by fingerprint profile, then refined to stability."""
+def initial_partition(design: Design) -> np.ndarray:
+    """Cell ids of the points grouped by fingerprint profile, then refined to
+    stability."""
     hist = point_histograms(design)  # also enforces the Steiner precondition
     profile_ids, _ = _rank_rows(hist)
-    partition, _ = _refine(design, profile_ids)
-    return partition
+    return _refine(design, profile_ids)[0]
 
 
 def _check_deadline(deadline: float) -> None:
@@ -198,13 +190,12 @@ def _translation_seeds(design: Design) -> list:
     Rows are taken greedily while they enlarge the largest orbit, each only if
     it maps the blocks onto themselves; one-point orbits give no seeds.
     """
-    action, minima = design.orbits()
-    sizes = np.bincount(minima)
+    sizes = np.bincount(design.action.min(axis=0))
     start = int(np.argmax(sizes))
     n = design.n_points
     seeds: list = []
     orbit = _orbit_under_stabilizer(start, (), seeds, n)
-    for row in action.astype(np.int64):
+    for row in design.action.astype(np.int64):
         if orbit.sum() == sizes[start]:
             break
         if orbit[row[start]] or not is_block_invariant(design, row):
@@ -269,13 +260,13 @@ def _search(design: Design, deadline: float) -> tuple:
     stats = design._cache["aut_stats"] = dict.fromkeys(
         ("refines", "leaves", "orbit_skips", "chain_skips"), 0)
 
-    def leaf(partition: OrderedPartition, inv_path: tuple, path: tuple) -> bool:
+    def leaf(cell_ids: np.ndarray, inv_path: tuple, path: tuple) -> bool:
         nonlocal chain
         stats["leaves"] += 1
         # discrete: cell index = new point name
-        cand = (inv_path, block_image(design, partition.cell_ids).astype(np.int16).tobytes())
+        cand = (inv_path, block_image(design, cell_ids).astype(np.int16).tobytes())
         if not leaves:
-            leaves["first"] = leaves["best"] = cand + (partition.cell_ids,)
+            leaves["first"] = leaves["best"] = cand + (cell_ids,)
             chain = _Chain(path, n)
             return False
         for name in ("first", "best"):
@@ -283,25 +274,24 @@ def _search(design: Design, deadline: float) -> tuple:
             if cand == (inv, blocks):
                 # two labelings with the same image: an automorphism
                 aut = np.empty(n, dtype=np.int64)
-                aut[np.argsort(partition.cell_ids)] = np.argsort(other)
+                aut[np.argsort(cell_ids)] = np.argsort(other)
                 if not is_block_invariant(design, aut):
                     raise AssertionError("invalid automorphism witness")
                 gens.append(aut)
                 return name == "first"
         if cand < leaves["best"][:2]:
-            leaves["best"] = cand + (partition.cell_ids,)
+            leaves["best"] = cand + (cell_ids,)
         return False
 
-    def dfs(partition: OrderedPartition, inv_path: tuple, path: tuple,
-            on_first: bool) -> bool:
+    def dfs(cell_ids: np.ndarray, inv_path: tuple, path: tuple, on_first: bool) -> bool:
         """True when a leaf below equals the first and the search returns
         to the nearest first-path node."""
         nonlocal order
         _check_deadline(deadline)
-        t = _target_cell(partition)
+        t = _target_cell(cell_ids)
         if t is None:
-            return leaf(partition, inv_path, path)
-        cell = np.nonzero(partition.cell_ids == t)[0].tolist()
+            return leaf(cell_ids, inv_path, path)
+        cell = np.nonzero(cell_ids == t)[0].tolist()
         done: list = []
         by_chain = False  # whether the orbits come from the chain
         known = None  # (by_chain, automorphism count) the orbits in seen were built from
@@ -330,7 +320,7 @@ def _search(design: Design, deadline: float) -> tuple:
                 continue
             done.append(v)
             seen |= orbits(v)
-            refined, trace = _refine(design, _individualize(partition, v))
+            refined, trace = _refine(design, _individualize(cell_ids, v))
             stats["refines"] += 1
             child_inv = inv_path + (trace,)
             if dfs(refined, child_inv, path + (v,), on_first and v == cell[0]) and not on_first:

@@ -17,7 +17,6 @@ from unitals.catalog import (
     entry_to_json,
     iter_entry_paths,
     load_entry,
-    load_required_entries,
     reproduce,
     save_entry,
 )
@@ -33,6 +32,10 @@ def test_required_list_sizes():
     for key, size in REQUIRED_LIST_SIZES.items():
         paths = [p for p in iter_entry_paths(f"{key}-*")]
         assert len(paths) == size, key
+    required = [p.stem for p in iter_entry_paths(required=True)]
+    sharing = [i for pair in FINGERPRINT_SHARING_PAIRS for i in pair]
+    assert len(required) == sum(REQUIRED_LIST_SIZES.values()) + len(sharing) == 107
+    assert set(sharing) <= set(required)
 
 
 def test_catalog_counts_match_summary_table():
@@ -144,7 +147,7 @@ def test_reproduce_corrupted_clone(ex1_1, tmp_path):
 
 def test_reproduce_required_sample():
     wanted = {"ex2-1", "ex5-8", "sg126-7-2"}
-    for e in load_required_entries():
+    for e in map(load_entry, iter_entry_paths(required=True)):
         if e.id in wanted:
             rec = reproduce(e)
             assert rec.steiner_ok and rec.fingerprint_match, e.id

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import emit_ex1_1, entry
-from unitals.catalog import STAGES, catalog_dir, entry_to_json
+from unitals.catalog import STAGES, catalog_dir, data_dir, entry_to_json
 from unitals.cli import main
 from unitals.isomorph import are_isomorphic, automorphism_order
 
@@ -279,6 +279,7 @@ def test_search_non_json_group_exits_3(capsys, tmp_path, content):
     {"semidirect": {"normal": {"cyclic": 25},
                     "actor": {"product": [{"cyclic": 5}, {"cyclic": 1}]},
                     "action": [[1, 6]]}},
+    {"external": 5},
 ])
 def test_search_malformed_spec_exits_3(capsys, tmp_path, spec):
     p = tmp_path / "group.json"
@@ -298,6 +299,29 @@ def test_search_finds_external_table_like_family_files(capsys, tmp_path):
     assert code == 4, err
     assert out == ""
     assert "0 families, 1000 nodes, budget_hit=True" in err
+
+
+def test_search_finds_nested_external_table_from_any_directory(capsys, tmp_path,
+                                                               monkeypatch):
+    # a table inside a product resolves by the same rule as one at the top
+    monkeypatch.chdir(tmp_path)
+    p = tmp_path / "group.json"
+    p.write_text(json.dumps({"product": [{"external": "tables/sg126_1.txt"}, {"cyclic": 1}]}))
+    code, out, err = run(capsys, "search", "--group", str(p), "--mode", "transitive",
+                         "--max-nodes", "10")
+    assert code == 4, err
+    assert out == ""
+    assert "0 families, 10 nodes, budget_hit=True" in err
+
+
+def test_search_missing_nested_table_lists_each_place_once(capsys, tmp_path):
+    p = tmp_path / "group.json"
+    p.write_text(json.dumps({"product": [{"cyclic": 1}, {"external": "no_table.txt"}]}))
+    code, out, err = search_with_group_file(capsys, p)
+    assert code == 3
+    assert out == ""
+    places = [str(tmp_path / "no_table.txt"), str(data_dir() / "no_table.txt"), "no_table.txt"]
+    assert err == f"error: no Cayley table at 'no_table.txt' (searched {places})\n"
 
 
 def test_search_missing_absolute_table_is_listed_once(capsys, tmp_path):
@@ -503,6 +527,17 @@ def test_verify_undecodable_family_exits_3(capsys, tmp_path):
     code, _, err = run(capsys, "verify", str(p))
     assert code == 3
     assert "error:" in err
+
+
+@pytest.mark.parametrize("name", ["missing", "directory"])
+def test_group_validate_unreadable_path_exits_1(capsys, tmp_path, name):
+    p = tmp_path / "table.txt"
+    if name == "directory":
+        p.mkdir()
+    code, out, err = run(capsys, "group", "validate", str(p))
+    assert code == 1
+    assert str(p) in out
+    assert err == ""
 
 
 def test_group_validate_undecodable_table_exits_1(capsys, tmp_path):

@@ -83,11 +83,19 @@ def test_family_validation():
 ], ids=["repeated", "above-range", "negative", "infinity-transitive"])
 def test_develop_blocks_rejects_bad_points(block, one_rotational, error, message):
     with pytest.raises(error, match=message):
-        develop_blocks(build_group(Cyclic(7)), [[0, 2], block], one_rotational)
+        develop_blocks(build_group(Cyclic(7)), [[0, 2, 4], block], one_rotational)
+
+
+def test_blocks_of_differing_sizes_are_refused():
+    blocks = [[0, 1, 3], [0, 2], [1]]
+    with pytest.raises(SchemaError, match=r"blocks of differing sizes \[1, 2, 3\]"):
+        Design.from_blocks(blocks, 7)
+    with pytest.raises(SchemaError, match=r"blocks of differing sizes \[1, 2, 3\]"):
+        develop_blocks(build_group(Cyclic(7)), blocks)
 
 
 def test_from_blocks_names_the_least_bad_block():
-    blocks = [[5, 200, 3], [4, 2, 2], [0, 1], [9, 130]]
+    blocks = [[5, 200, 3], [4, 2, 2], [0, 1, 6], [9, 130, 7]]
     with pytest.raises(SchemaError, match=r"block \(2, 2, 4\) has repeated points"):
         Design.from_blocks(blocks, 126)
     with pytest.raises(SchemaError, match=r"block \(3, 5, 200\) outside point range 0..125"):
@@ -205,11 +213,10 @@ def _malformed_designs():
         "duplicates": (Design.from_blocks(list(d.blocks) + [d.blocks[3], d.blocks[7]],
                                           126, d.labels), 30, 2),
         "single": (develop_blocks(build_group(Cyclic(1)), [[0]]), 0, 0),
-        "ragged": (develop_blocks(build_group(Cyclic(7)), [[0], [0, 1, 3], [0, 1]]), 7, 0),
     }
 
 
-@pytest.mark.parametrize("name", ["shrunk", "corrupted", "duplicates", "single", "ragged"])
+@pytest.mark.parametrize("name", ["shrunk", "corrupted", "duplicates", "single"])
 def test_incidence_layer_on_malformed_designs(name):
     design, n_defects, n_duplicates = _malformed_designs()[name]
     line_of, defects = _pairwise_reference(design)
@@ -241,7 +248,9 @@ def test_only_developed_designs_carry_the_action(design_ex1_1, z125):
     assert action.shape == (125, 126)
     assert np.array_equal(action[:, :125], z125.table)
     assert (action[:, 125] == 125).all()
-    assert Design.from_blocks(design_ex1_1.blocks, 126).action is None
+    bare = Design.from_blocks(design_ex1_1.blocks, 126)
+    assert np.array_equal(bare.action, np.arange(126)[None])  # the identity alone
+    assert np.array_equal(relabel(bare, np.roll(np.arange(126), 5)).action, bare.action)
     # a relabeled copy carries the conjugated action: perm . a . perm^-1
     perm = np.random.default_rng(3).permutation(126)
     inverse = np.argsort(perm)
@@ -275,24 +284,11 @@ def test_block_image_agrees_with_lexsort_oracle(name):
     assert verdicts[0] and not all(verdicts)
 
 
-def test_ragged_design_relabels_and_maps_like_tuples():
-    d = _malformed_designs()["ragged"][0]  # blocks of 1, 2 and 3 points on Z_7
-    assert d.block_rows.shape == (len(d.blocks), 3)
-    perm = np.random.default_rng(2).permutation(7)
-    copy = relabel(d, perm)
-    assert list(copy.blocks) == sorted(tuple(sorted(int(perm[p]) for p in b)) for b in d.blocks)
-    assert np.array_equal(copy.line_of, _pairwise_reference(copy)[0])
-    for q in [perm, np.roll(perm, 1), np.arange(7)]:
-        image = sorted(tuple(sorted(int(q[p]) for p in b)) for b in d.blocks)
-        assert maps_blocks(d, copy, q) == (image == list(copy.blocks))
-    assert all(is_block_invariant(d, row) for row in d.action)
-
-
 LIST_HEADS = [f"{name}-1" for name in ("ex1", "ex2", "ex3", "ex4", "ex5", "sg126-1", "sg126-2",
                                        "sg126-3", "sg126-7", "sg126-8", "sg126-10", "sg126-12")]
 
 
-@pytest.mark.parametrize("name", LIST_HEADS + ["shrunk", "duplicates", "ragged"])
+@pytest.mark.parametrize("name", LIST_HEADS + ["shrunk", "duplicates"])
 def test_first_rows_agrees_with_numpy_unique(name):
     rng = np.random.default_rng(5)
     if name in LIST_HEADS:
