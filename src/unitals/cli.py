@@ -161,12 +161,17 @@ def _cmd_iso(args) -> int:
     da, db = _verified_design(ea), _verified_design(eb)
     if da is None or db is None:
         return EXIT_MISMATCH
+    start = time.perf_counter()
     result = are_isomorphic(da, db)
     if args.json:
         print(json.dumps({"a": ea.id, "b": eb.id,
                           "isomorphic": result.isomorphic,
                           "complete": result.complete,
-                          "witness": result.witness}))
+                          "witness": result.witness,
+                          "elapsed_s": round(time.perf_counter() - start, 3),
+                          # None for a design the fingerprint fast path left unsearched
+                          "search": {"a": da._cache.get("aut_stats"),
+                                     "b": db._cache.get("aut_stats")}}))
     elif not result.complete:
         print("undecided")
     else:
@@ -182,10 +187,12 @@ def _cmd_aut(args) -> int:
     design = _verified_design(entry)
     if design is None:
         return EXIT_MISMATCH
+    start = time.perf_counter()
     count = automorphism_order(design)
     if args.json:
         print(json.dumps({"id": entry.id, "order": count.order,
                           "complete": count.complete,
+                          "elapsed_s": round(time.perf_counter() - start, 3),
                           "search": design._cache["aut_stats"]}))
     else:
         print(count.order if count.complete else f">= {count.order}")

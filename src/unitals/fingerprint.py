@@ -17,8 +17,9 @@ from .designs import BLOCK_SIZE, Design, verify_steiner
 from .errors import NotASteinerSystem
 
 TOTAL_QUADRUPLES = 7_560_000  # 126*125*124 - 525*6*5*4 non-collinear triples, times 4
-#: (3, 120): the places of p, y and x for each ordered triple of distinct places of a line
-_PLACES = np.array(list(permutations(range(BLOCK_SIZE), 3))).T
+#: (3, 60): the places of p, y and x for each triple of distinct places of a
+#: line with y before x
+_PLACES = np.array([t for t in permutations(range(BLOCK_SIZE), 3) if t[1] < t[2]]).T
 
 
 @dataclass(frozen=True)
@@ -63,9 +64,15 @@ def _kernel_rows(design: Design, origins) -> np.ndarray:
     points u of colour c(y) lie on 5 distinct lines pu, none through o, and
     line pu misses line ox exactly when it carries no point of colour c(x).  So
     the count is 5 - both[p, c(y), c(x)], where both[p, a, b] is the number of
-    lines through p that miss o and carry colours a and b: one bincount of the
-    keys (p, c(y), c(x)) over every line missing o.  l0 = py is one of those
-    lines, as it carries x, so u = y is not counted.
+    lines through p that miss o and carry colours a and b.  l0 = py is one of
+    those lines, as it carries x, so u = y is not counted.
+
+    both[p, a, b] is symmetric in a and b, so the quadruples (o, x, y, p) and
+    (o, y, x, p) have the same count.  Hence one key (p, min, max of c(y) and
+    c(x)) per triple of places with y before x, 60 per line, counts each line
+    through p once per unordered pair of colours: one bincount of those keys
+    over every line missing o gives both, and each count read back at its key
+    goes into row y and into row x.
     """
     n = design.n_points
     lines = design.point_lines  # (n, r), ascending
@@ -76,42 +83,65 @@ def _kernel_rows(design: Design, origins) -> np.ndarray:
         colour = np.searchsorted(lines[o], design.line_of[o])  # line(o, t)'s rank
         far = np.delete(design.block_rows, lines[o], axis=0)  # the lines missing o
         far_colours = colour[far]
-        key = (far[:, p] * r + far_colours[:, y]) * r + far_colours[:, x]
+        a, b = far_colours[:, y], far_colours[:, x]
+        key = (far[:, p] * r + np.minimum(a, b)) * r + np.maximum(a, b)
         counts = 5 - np.bincount(key.ravel())[key]
-        row[:] = np.bincount((far[:, y] * 5 + counts).ravel(), minlength=5 * n).reshape(n, 5)
+        ends = far[:, _PLACES[1:]] * 5 + counts[:, None]  # (lines, 2, 60): rows y and x
+        row[:] = np.bincount(ends.ravel(), minlength=5 * n).reshape(n, 5)
     return rows
+
+
+def transversal(design: Design) -> tuple:
+    """(reps, rep, back) for the orbits of the design's action.
+
+    reps holds the least point of each orbit, ascending; rep[x] is the index
+    in reps of x's orbit, and back[x] is the inverse of an action row g with
+    g*reps[rep[x]] = x.  A table t over point pairs that the action leaves
+    invariant is then t[x, y] = t[reps[rep[x]], back[x, y]], so its rows at
+    reps give all of it.  Under the identity action every point is its own
+    orbit.  Built once per design and kept in ``design._cache``.
+    """
+    cached = design._cache.get("transversal")
+    if cached is None:
+        action = design.action
+        n = design.n_points
+        least = action.min(axis=0)  # each point's orbit, by its least point
+        reps, rep = np.unique(least, return_inverse=True)
+        g = np.argmax(action[:, least] == np.arange(n), axis=0)  # g*least[x] = x
+        back = np.empty((n, n), dtype=np.intp)
+        back[np.arange(n)[:, None], action[g]] = np.arange(n)
+        cached = design._cache["transversal"] = (reps, rep, back)
+    return cached
 
 
 def pair_histograms(design: Design) -> np.ndarray:
     """(n, n, 5) array: [o, y] = histogram over quadruples with triple (o, x, y).
 
-    The histograms are invariant under automorphisms, so only one origin per
-    orbit of the design's action goes through the kernel and [g*o, g*y] =
-    [o, y] fills the rest; under the identity action every orbit is one point.
+    The histograms are invariant under automorphisms, so only the orbit
+    representatives of the design's action go through the kernel, and one
+    gather through the ``transversal`` fills the table from their rows.
     """
     cached = design._cache.get("pair_histograms")
     if cached is not None:
         return cached
     _require_steiner(design)
-    action = design.action
-    reps = np.unique(action.min(axis=0))  # one origin per orbit
+    reps, rep, back = transversal(design)
     # the kernel's temporaries are freed before hist is allocated: a
     # reproduction then peaks at about 2.3 MB of heap (tracemalloc), which stays
     # under glibc's trim threshold, so its pages are reused, not faulted in again
     rows = _kernel_rows(design, reps)
-    hist = np.zeros((design.n_points, design.n_points, 5), dtype=np.int64)
-    for o, row in zip(reps.tolist(), rows):
-        hist[action[:, o][:, None], action] = row
-    design._cache["pair_histograms"] = hist
+    hist = design._cache["pair_histograms"] = rows[rep[:, None], back]
     return hist
 
 
 def point_histograms(design: Design) -> np.ndarray:
-    """(n_points, 5) array: row o = histogram over quadruples starting at o."""
+    """(n_points, 5) array: row o = histogram over quadruples starting at o,
+    summed over the pair histograms' rows at the orbit representatives."""
     cached = design._cache.get("point_histograms")
     if cached is not None:
         return cached
-    hist = pair_histograms(design).sum(axis=1)
+    reps, rep, _ = transversal(design)
+    hist = pair_histograms(design)[reps].sum(axis=1)[rep]
     design._cache["point_histograms"] = hist
     return hist
 
@@ -122,14 +152,17 @@ def fingerprint(design: Design) -> Fingerprint:
 
 
 def fingerprint_reference(design: Design) -> Fingerprint:
-    """Direct quadruple loop with set-intersection by scanning (test oracle).
+    """Direct quadruple loop over line disjointness (test oracle).
 
+    Whether two lines share a point is decided by ``frozenset.isdisjoint``,
+    once for each pair of lines, into a table that the loop reads.
     Deliberately avoids the colour counting of the optimized kernel.
     """
     _require_steiner(design)
     n = design.n_points
     blocks = design.blocks
     block_sets = [frozenset(b) for b in blocks]
+    disjoint = [[a.isdisjoint(b) for b in block_sets] for a in block_sets]
     lof = [[int(v) for v in row] for row in design.line_of]
     hist = [0] * 7
     for o in range(n):
@@ -142,14 +175,14 @@ def fingerprint_reference(design: Design) -> Fingerprint:
             for x in range(n):
                 if x == o or x == y or row_o[x] == line_oy:
                     continue
-                line_ox_set = block_sets[row_o[x]]
+                misses_ox = disjoint[row_o[x]]
                 for p in blocks[lof[x][y]]:
                     if p == x or p == y:
                         continue
                     row_p = lof[p]
                     c = 0
                     for u in us:
-                        if block_sets[row_p[u]].isdisjoint(line_ox_set):
+                        if misses_ox[row_p[u]]:
                             c += 1
                     hist[c] += 1
     return Fingerprint(tuple((k, v) for k, v in enumerate(hist) if v != 0))

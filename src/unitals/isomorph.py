@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .designs import Design, block_image, is_block_invariant, maps_blocks, row_keys
-from .fingerprint import fingerprint, pair_histograms, point_histograms
+from .fingerprint import fingerprint, pair_histograms, point_histograms, transversal
 
 
 def _pair_codes(design: Design) -> np.ndarray:
@@ -38,15 +38,21 @@ def _pair_codes(design: Design) -> np.ndarray:
     second halves, and one ranking of all one-way rows orders the halves as the
     rows do, since it is taken over the set that both halves are drawn from; so
     the two steps give the same ranks as ranking the joined rows at once.
+
+    Both steps rank only the rows at the orbit representatives of the design's
+    action and fill the rest through its ``transversal``.  The pair histograms,
+    and so half and the codes, are invariant under the action, so every row is
+    the image of a representative's row: the distinct values ranked are the
+    same set, and a rank is a position in that set.
     """
     codes = design._cache.get("pair_codes")
     if codes is None:
-        pairs = pair_histograms(design)
+        reps, rep, back = transversal(design)
         n = design.n_points
-        half, _ = _rank_rows(pairs.reshape(n * n, -1))
-        half = half.reshape(n, n)
-        codes, _ = _rank_rows(np.stack([half, half.T], axis=2).reshape(n * n, 2))
-        codes = design._cache["pair_codes"] = codes.reshape(n, n)
+        half, _ = _rank_rows(pair_histograms(design)[reps].reshape(len(reps) * n, -1))
+        half = half.reshape(len(reps), n)[rep[:, None], back]
+        codes, _ = _rank_rows(np.stack([half[reps], half[:, reps].T], axis=2).reshape(-1, 2))
+        codes = design._cache["pair_codes"] = codes.reshape(len(reps), n)[rep[:, None], back]
     return codes
 
 

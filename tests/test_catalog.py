@@ -20,12 +20,14 @@ from unitals.catalog import (
     reproduce,
     save_entry,
 )
+from unitals.designs import develop
 from unitals.errors import (
     GroupUnavailable,
     SchemaError,
     SumInvariantError,
 )
 from unitals.fingerprint import TOTAL_QUADRUPLES
+from unitals.isomorph import automorphism_order, canonical_key
 
 
 def test_required_list_sizes():
@@ -159,6 +161,27 @@ def test_whole_catalog_reproduces_bit_exactly():
     failures = [(r.entry_id, r.steiner_ok, str(r.computed_fingerprint))
                 for r in records if not (r.steiner_ok and r.fingerprint_match)]
     assert not failures
+
+
+#: ``scripts/classify_all.py`` stdout over the whole catalog: one JSON record
+#: of id, |Aut|, complete flag and canonical key per entry
+CLASSIFICATION = Path(__file__).parent / "data" / "classify_all.jsonl"
+
+
+def test_whole_catalog_classification_matches_fixture():
+    """Every entry's |Aut|, its complete flag and its canonical key equal the
+    committed records, and no two entries share a key."""
+    want = [json.loads(line) for line in CLASSIFICATION.read_text(encoding="utf-8").splitlines()]
+    got = []
+    for path in iter_entry_paths():
+        e = load_entry(path)
+        d = develop(e.group(), e.family())
+        count = automorphism_order(d)
+        got.append({"id": e.id, "aut": count.order, "complete": count.complete,
+                    "key": canonical_key(d).decode()})
+    assert len(want) == 1239 and all(r["complete"] for r in want)
+    assert got == want
+    assert len({r["key"] for r in got}) == 1239
 
 
 @pytest.mark.parametrize("threads", [0, 2])

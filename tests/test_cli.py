@@ -125,6 +125,25 @@ def test_aut_json_reports_the_search(capsys):
                              "chain_skips": 230}
 
 
+def test_aut_and_iso_json_report_time_and_searches(capsys):
+    code, out, _ = run(capsys, "aut", path_of("ex1-1"), "--json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["elapsed_s"] >= 0 and obj["search"]["refines"] >= 1
+    # equal fingerprints: both keys are searched
+    code, out, _ = run(capsys, "iso", path_of("ex1-1"), path_of("ex1-1"), "--json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["isomorphic"] and obj["elapsed_s"] >= 0
+    assert obj["search"]["a"] == obj["search"]["b"]
+    assert obj["search"]["a"]["refines"] >= 1
+    # differing fingerprints: the fast path decides before any search
+    code, out, _ = run(capsys, "iso", path_of("sg126-3-1"), path_of("ex1-1"), "--json")
+    assert code == 0
+    obj = json.loads(out)
+    assert not obj["isomorphic"] and obj["search"] == {"a": None, "b": None}
+
+
 def unverified_ex1_1(tmp_path):
     """ex1-1 with 74 changed to 75 in its first base block: no S(2,6,126)."""
     obj = entry_to_json(entry("ex1-1"))

@@ -156,6 +156,7 @@ def _pair_histogram_row(design, o):
 @pytest.mark.parametrize("entry_id, origin, bare", [
     ("ex1-1", 0, False), ("ex1-1", 125, False),  # the one-rotational kernel origins 0, ∞
     ("sg126-1-1", 0, False),  # the transitive kernel origin
+    ("ex1-1", 40, False), ("sg126-1-1", 77, False),  # rows gathered through the transversal
     ("ex1-1", 40, True),  # a relabeled copy without an action: every origin is a kernel origin
 ])
 def test_pair_histogram_row_matches_definition(entry_id, origin, bare):
@@ -164,3 +165,14 @@ def test_pair_histogram_row_matches_definition(entry_id, origin, bare):
         perm = np.random.default_rng(11).permutation(126)
         d = Design.from_blocks(relabel(d, perm).blocks, 126)
     assert np.array_equal(pair_histograms(d)[origin], _pair_histogram_row(d, origin))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: design_of("sg126-1-1"),
+    lambda: relabel(design_of("ex1-1"), np.random.default_rng(5).permutation(126)),
+    lambda: Design.from_blocks(design_of("ex1-1").blocks, 126),
+], ids=["developed", "relabeled", "bare"])
+def test_point_histograms_sum_the_pair_histograms(make):
+    d = make()
+    assert np.array_equal(point_histograms(d), pair_histograms(d).sum(axis=1))
+

@@ -221,9 +221,12 @@ def bare_relabeled(entry_id, seed):
     return d
 
 
-@pytest.mark.parametrize("make", [lambda: fresh_design("ex1-1"),
-                                  lambda: bare_relabeled("ex3-1", 3)],
-                         ids=["ex1-1", "ex3-1-relabeled-no-action"])
+@pytest.mark.parametrize("make", [
+    lambda: fresh_design("ex1-1"),
+    lambda: fresh_design("sg126-1-1"),
+    lambda: relabel(fresh_design("ex1-1"), np.random.default_rng(3).permutation(126)),
+    lambda: bare_relabeled("ex3-1", 3),
+], ids=["ex1-1", "sg126-1-1", "ex1-1-relabeled", "ex3-1-relabeled-no-action"])
 def test_pair_codes_match_one_step_ranking(make):
     """The two-step pair codes equal the ranks of pairs[x, y] joined to
     pairs[y, x], all ten columns ranked at once by the lexsort oracle."""
