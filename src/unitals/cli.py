@@ -91,7 +91,9 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", required=True,
                     choices=[m.value for m in Mode])
     sp.add_argument("--max-nodes", type=positive(int), default=1_000_000)
-    sp.add_argument("--max-solutions", type=positive(int), default=10)
+    sp.add_argument("--max-solutions", type=positive(int), default=10,
+                    help="stop after this many solutions of the search, counted "
+                         "before families with a repeated canonical key are dropped")
     sp.add_argument("--time-limit", type=positive(float), default=600.0)
     sp.add_argument("--no-canonicalize", dest="canonicalize", action="store_false")
 
@@ -263,9 +265,12 @@ def _cmd_search(args) -> int:
         ))
         print(json.dumps(record))
     elapsed = time.perf_counter() - start
-    print(f"{stats.solutions} families, {stats.nodes} nodes, "
+    # n counts the records printed; stats.solutions also counts the dropped
+    # duplicates, and is what --max-solutions limits
+    print(f"{n} families, {stats.nodes} nodes, "
           f"budget_hit={stats.budget_hit}, {elapsed:.3f} s, "
-          f"{stats.nodes / elapsed if elapsed > 0 else 0:.0f} nodes/s", file=sys.stderr)
+          f"{stats.nodes / elapsed if elapsed > 0 else 0:.0f} nodes/s, "
+          f"{stats.solutions} solutions", file=sys.stderr)
     return EXIT_BUDGET if stats.budget_hit else EXIT_OK
 
 

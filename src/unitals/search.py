@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -155,7 +156,8 @@ class _Searcher:
     def tick(self, count: int = 1) -> bool:
         """Count nodes; True while the search may continue.  A run of count
         nodes is cut at the one that uses up the node budget.  The clock is
-        read on the first call and then once per CLOCK_STRIDE nodes."""
+        read on the first call and then on the first call that ends at least
+        CLOCK_STRIDE nodes after the last read."""
         stats = self.stats
         first = stats.nodes + 1
         stats.nodes += count
@@ -227,64 +229,123 @@ class _Searcher:
         yield from self._full_blocks(chosen, uncovered, delta)
 
     def _full_blocks(self, chosen, uncovered, delta):
-        """Blocks {e, delta, x3..x6} with 30 distinct uncovered differences.
+        """Extend chosen by each full block that _fitting_blocks finds.
 
-        free holds the differences that are uncovered and not yet covered by
-        the block being built; x fits the members when its differences s^-1 x
-        and x^-1 s with them are free and pairwise distinct (s^-1 x = x^-1 s
-        is an involution difference, which needs a stabilized block).  An
-        element that fits a level fitted the level above too, so each level
-        tests only the later elements that fitted the level above, and only
-        against the member added last.  Nodes count as in an
-        element-by-element scan, one per non-member element tried after the
-        last member (only e and delta can come later); the run up to the next
-        fitting element counts at once.  The scan starts at element 0: the
-        identity e never fits, since its pair mask with itself is 0.
+        The scan's nodes are ticked in batches: once per block, for the nodes
+        since the previous tick, and once per bare gap when no block comes.
+        No batch holds CLOCK_STRIDE + n nodes, so the clock and max_nodes are
+        still read every few thousand nodes, and a budget ends the search at
+        the same node count as a tick per element, before any block past it
+        is extended.
         """
-        n = self.group.order
-        e = self.group.identity
-        pair_table = self.pairs
-
-        def fitting(cands, last, taken, free):
-            """(x, differences of x with the members) for the candidates that
-            fit; cands hold each x with its differences with the members
-            before last, and taken holds last's own differences."""
-            pairs = pair_table[last]
-            busy = ~free
-            out = []
-            for x, ds in cands:
-                pq = pairs[x]
-                if pq and not (pq & (busy | ds) or ds & taken):
-                    out.append((x, ds | pq))
-            return out
-
-        def rec(members, start, cands, taken, free):
-            if self.stopped():
+        for gap, block, covered in self._fitting_blocks(uncovered, delta):
+            if not self.tick(gap):
                 return
-            if len(members) == BLOCK_SIZE:
-                chosen.append(tuple(sorted(members)))
-                yield from self._extend(chosen, free)
+            if block:
+                chosen.append(block)
+                yield from self._extend(chosen, uncovered & ~covered)
                 chosen.pop()
-                return
-            fits = fitting(cands, members[-1], taken, free)
-            pos = start
-            for i, (x, ds) in enumerate(fits):
-                if not self.tick(x + 1 - pos - (pos <= e < x) - (pos <= delta < x)):
-                    return
-                pos = x + 1
-                members.append(x)
-                yield from rec(members, x + 1, fits[i + 1:], ds, free & ~ds)
-                members.pop()
                 if self.stats.budget_hit:
                     return
-            rest = n - pos - (e >= pos) - (delta >= pos)
-            if rest:
-                self.tick(rest)
 
-        free = uncovered & ~(1 << e)
-        cands = fitting([(x, 0) for x in range(n)], e, 0, free)
-        seed = pair_table[e][delta]  # delta fits: uncovered differences pair with inverses
-        yield from rec([e, delta], 0, cands, seed, free & ~seed)
+    def _fitting_blocks(self, uncovered, delta):
+        """Yield (gap, block, covered) for each block {e, delta, x3 < x4 < x5
+        < x6} with 30 distinct uncovered differences: block sorted, covered
+        the mask of its differences, gap the scan nodes since the previous
+        yield.
+
+        The scan is one loop nest, a level per free place, over every element
+        from 0 on (e never fits: its pair mask with itself is 0).  x fits the
+        members when its differences s^-1 x and x^-1 s with each member s are
+        free (uncovered, and not covered by the members) and pairwise
+        distinct; s^-1 x = x^-1 s is an involution difference, which needs a
+        stabilized block, and its pair mask is 0.  An element that fits a
+        level fitted the level above, so each level filters the later entries
+        of the list above, against the member added last only: ds, the
+        differences of x with the earlier members, lies in the free set
+        above, so (pq | ds) & busy tests both pq and ds against this level's.
+
+        Nodes count as in an element-by-element scan: one per non-member
+        element tried after the last member (only e and delta can come
+        later).  With r(p) = p - [e < p] - [delta < p] the non-members below
+        p, a level that starts at p counts r(x + 1) - r(p) = x + 1 - p -
+        [p <= e < x] - [p <= delta < x] nodes when it takes x, and r(n) - r(p)
+        when it ends; m3..m6 hold r(p) of the open levels.  A scan that finds
+        no block yields a bare gap (block None) once gap reaches
+        CLOCK_STRIDE at a level's end.  Between two level ends the open
+        levels scan disjoint runs of elements, so no gap reaches
+        CLOCK_STRIDE + n.  stopped() is read at entry and after each block;
+        once it holds, the open levels count their rest and descend no
+        further, as the element-by-element scan does once max_solutions
+        families are found.
+        """
+        if self.stopped():
+            return
+        n, e = self.group.order, self.group.identity
+        pairs, stopped = self.pairs, self.stopped
+        top = n - 2  # r(n)
+        seed = pairs[e][delta]  # delta fits: uncovered differences pair with inverses
+        f2 = uncovered & ~seed
+        busy = ~f2
+        c3 = []
+        for x, pe, pd in zip(range(n), pairs[e], pairs[delta]):
+            if pe and pd and not ((ds := pe | pd) & busy or pe & pd):
+                c3.append((x, ds))
+        gap = m3 = 0
+        for i3, (x3, d3) in enumerate(c3):
+            m4 = x3 + 1 - (e < x3) - (delta < x3)
+            gap += m4 - m3
+            m3 = m4
+            f3 = f2 & ~d3
+            busy, row = ~f3, pairs[x3]
+            c4 = []
+            for x, dx in islice(c3, i3 + 1, None):
+                pq = row[x]
+                if pq and not ((ds := pq | dx) & busy or pq & dx):
+                    c4.append((x, ds))
+            for i4, (x4, d4) in enumerate(c4):
+                m5 = x4 + 1 - (e < x4) - (delta < x4)
+                gap += m5 - m4
+                m4 = m5
+                f4 = f3 & ~d4
+                busy, row = ~f4, pairs[x4]
+                c5 = []
+                for x, dx in islice(c4, i4 + 1, None):
+                    pq = row[x]
+                    if pq and not ((ds := pq | dx) & busy or pq & dx):
+                        c5.append((x, ds))
+                for i5, (x5, d5) in enumerate(c5):
+                    m6 = x5 + 1 - (e < x5) - (delta < x5)
+                    gap += m6 - m5
+                    m5 = m6
+                    busy, row = ~(f4 & ~d5), pairs[x5]
+                    for x6, dx in islice(c5, i5 + 1, None):
+                        pq = row[x6]
+                        if pq and not ((d6 := pq | dx) & busy or pq & dx):
+                            r = x6 + 1 - (e < x6) - (delta < x6)
+                            gap += r - m6
+                            m6 = r
+                            yield (gap, tuple(sorted((e, delta, x3, x4, x5, x6))),
+                                   seed | d3 | d4 | d5 | d6)
+                            gap = 0
+                            if stopped():
+                                yield 4 * top - m3 - m4 - m5 - m6, None, 0
+                                return
+                    gap += top - m6
+                    if gap >= CLOCK_STRIDE:
+                        yield gap, None, 0
+                        gap = 0
+                gap += top - m5
+                if gap >= CLOCK_STRIDE:
+                    yield gap, None, 0
+                    gap = 0
+            gap += top - m4
+            if gap >= CLOCK_STRIDE:
+                yield gap, None, 0
+                gap = 0
+        gap += top - m3
+        if gap:
+            yield gap, None, 0
 
 
 def complete_family(group: CayleyGroup, partial: PartialFamily,

@@ -8,8 +8,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import emit_ex1_1, entry
+from unitals import search
 from unitals.catalog import STAGES, catalog_dir, data_dir, entry_to_json
 from unitals.cli import main
+from unitals.designs import resolve_family
 from unitals.isomorph import are_isomorphic, automorphism_order
 
 
@@ -263,13 +265,43 @@ def test_search_summary_line_reports_seconds_and_rate(capsys, tmp_path):
     assert code == 4
     line = err.splitlines()[-1]
     m = re.fullmatch(r"(\d+) families, (\d+) nodes, budget_hit=True, "
-                     r"(\d+\.\d{3}) s, (\d+) nodes/s", line)
+                     r"(\d+\.\d{3}) s, (\d+) nodes/s, (\d+) solutions", line)
     assert m, line
     nodes, seconds, rate = int(m[2]), float(m[3]), int(m[4])
-    assert (int(m[1]), nodes) == (0, 20000)
+    assert (int(m[1]), nodes, int(m[5])) == (0, 20000, 0)
     # seconds is rounded to 1 ms and the rate to 1 node/s
     assert nodes / (seconds + 5e-4) - 1 <= rate
     assert seconds < 5e-4 or rate <= nodes / (seconds - 5e-4) + 1
+
+
+def test_search_summary_counts_printed_families_and_raw_solutions(capsys, monkeypatch,
+                                                                  tmp_path):
+    e = entry("ex1-1")
+    z125 = e.group()
+    blocks = [list(b) for b in resolve_family(z125, e.family())]
+    n = z125.order  # the index of ∞
+    # x -> 2x is an automorphism of Z_125: the image develops to an isomorphic
+    # design, so the canonical-key dedupe drops it
+    doubled = [[p if p == n else int(z125.table[p, p]) for p in b] for b in blocks]
+
+    def run_twice(self):
+        for found in (blocks, doubled):
+            self.stats.solutions += 1
+            yield found
+
+    monkeypatch.setattr(search._Searcher, "run", run_twice)
+    p = tmp_path / "group.json"
+    p.write_text(json.dumps({"cyclic": 125}))
+    summary = (r"(\d+) families, 0 nodes, budget_hit=False, \d+\.\d{3} s, \d+ nodes/s, "
+               r"(\d+) solutions")
+    for option, printed in ((), 1), (("--no-canonicalize",), 2):
+        code, out, err = run(capsys, "search", "--group", str(p), "--mode", "one-rotational",
+                             *option)
+        assert code == 0
+        assert len(out.splitlines()) == printed
+        m = re.fullmatch(summary, err.splitlines()[-1])
+        assert m, err
+        assert (int(m[1]), int(m[2])) == (printed, 2)
 
 
 def search_with_group_file(capsys, path):

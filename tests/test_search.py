@@ -1,6 +1,7 @@
 """Difference-family search: completion, budgets, canonical-key dedupe."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from unitals.errors import InconsistentPartial, ModeOrderMismatch
 from unitals.groups import INF, Cyclic, Product, build_group, load_cayley_table, save_cayley_table
 from unitals.isomorph import canonical_key
 from unitals.search import (
+    CLOCK_STRIDE,
     PartialFamily,
     SearchBudget,
     SearchStats,
@@ -69,9 +71,10 @@ def test_one_block_removed_recovers(j, z125):
         assert verify_steiner(develop(z125, fam)).is_steiner
 
 
-def test_full_block_scan_with_identity_not_at_zero(z125, ex1_1, tmp_path):
-    # Z_125 with elements 0 and 7 swapped: the identity is 7, and element 0
-    # is a difference the full blocks must be able to use
+def z125_identity_at_7(z125, ex1_1, tmp_path):
+    """Z_125 with elements 0 and 7 swapped, loaded from a table file: the
+    identity is 7, and element 0 is a difference the full blocks must be able
+    to use.  Returns the group and ex1-1 without block 2, relabeled."""
     swap = np.arange(z125.order)
     swap[[0, 7]] = [7, 0]
     table = np.empty_like(z125.table)
@@ -82,11 +85,128 @@ def test_full_block_scan_with_identity_not_at_zero(z125, ex1_1, tmp_path):
     assert g.identity == 7
     kept = [[x if x is INF else int(swap[x]) for x in b]
             for i, b in enumerate(ex1_1.base_blocks) if i != 2]
+    return g, kept
+
+
+def test_full_block_scan_with_identity_not_at_zero(z125, ex1_1, tmp_path):
+    g, kept = z125_identity_at_7(z125, ex1_1, tmp_path)
     stats = SearchStats()
     fams = complete_family(g, PartialFamily(Mode.ONE_ROTATIONAL, kept), stats=stats)
     assert len(fams) == 2 and not stats.budget_hit
     for fam in fams:
         assert check_difference_family(g, fam)
+
+
+def enumerated_blocks(g, uncovered, delta):
+    """(blocks, covered masks) of the 6-sets holding e and delta with 30
+    distinct uncovered differences, by plain enumeration: the other four
+    members run over itertools.combinations in lexicographic order.  They are
+    drawn from the elements x for which {e, delta, x} passes the same test,
+    which every member of such a block does."""
+    e = g.identity
+    diff = g.table[g.inverses]  # diff[a, b] = a^-1 b
+    free = np.array([uncovered >> d & 1 for d in range(g.order)], dtype=bool)
+
+    def differences(blocks):
+        i, j = np.nonzero(~np.eye(blocks.shape[1], dtype=bool))
+        return diff[blocks[:, i], blocks[:, j]]
+
+    def valid(blocks):
+        d = np.sort(differences(blocks), axis=1)
+        return free[d].all(axis=1) & (d[:, 1:] != d[:, :-1]).all(axis=1)
+
+    others = np.array([x for x in range(g.order) if x not in (e, delta)])
+    triples = np.column_stack([np.full(len(others), e), np.full(len(others), delta), others])
+    pool = others[valid(triples)].tolist()
+    rest = np.array(list(itertools.combinations(pool, 4)), dtype=np.int64).reshape(-1, 4)
+    blocks = np.hstack([np.full((len(rest), 1), e), np.full((len(rest), 1), delta), rest])
+    blocks = blocks[valid(blocks)]
+    masks = [sum(1 << d for d in row) for row in differences(blocks).tolist()]
+    return [tuple(sorted(b)) for b in blocks.tolist()], masks
+
+
+def element_scan(g, uncovered, delta):
+    """Nodes of an element-by-element scan for the blocks {e, delta, ...}:
+    each level tries every non-member element after the member added last,
+    one node each.  Returns the node count at each block found, and in all."""
+    n, e = g.order, g.identity
+    diff = g.table[g.inverses].tolist()
+    found, nodes = [], 0
+
+    def scan(members, used, start):
+        nonlocal nodes
+        for x in range(start, n):
+            if x in (e, delta):
+                continue
+            nodes += 1
+            new = [diff[m][x] for m in members] + [diff[x][m] for m in members]
+            if (len(set(new)) == len(new) and used.isdisjoint(new)
+                    and all(uncovered >> d & 1 for d in new)):
+                if len(members) == 5:
+                    found.append((nodes, tuple(sorted(members + (x,)))))
+                else:
+                    scan(members + (x,), used.union(new), x + 1)
+
+    scan((e, delta), {diff[e][delta], diff[delta][e]}, 0)
+    return found, nodes
+
+
+def infinity_block(e):
+    return [b for b in e.base_blocks if INF in b]
+
+
+@pytest.mark.parametrize("state", ["ex1-1", "ex2-4", "sg126-12-15", "identity-at-7"])
+def test_full_block_scan_matches_enumeration(state, z125, ex1_1, tmp_path):
+    if state == "identity-at-7":
+        g, kept = z125_identity_at_7(z125, ex1_1, tmp_path)
+        mode = Mode.ONE_ROTATIONAL
+    else:
+        e = entry(state)
+        g, mode = e.group(), e.mode
+        # ex1-1's first block fixed, with the ∞-block the root chooses;
+        # ex2-4's first two; sg126-12-15's last one, with the coset union that
+        # its pinned completion chooses, which leaves two involutions uncovered
+        kept = {"ex1-1": e.base_blocks[:1] + infinity_block(e),
+                "ex2-4": e.base_blocks[:2] + infinity_block(e),
+                "sg126-12-15": e.base_blocks[4:] + [[0, 1, 2, 5, 8, 14]]}[state]
+    searcher = search._Searcher(g, PartialFamily(mode, kept))
+    uncovered = searcher.uncovered
+    delta = (uncovered & -uncovered).bit_length() - 1
+    assert not searcher.is_involution[delta]
+    if mode is Mode.TRANSITIVE:  # involution differences are uncovered, and refused
+        assert any(searcher.is_involution[d] for d in range(g.order) if uncovered >> d & 1)
+    total, scanned, covered = 0, [], []
+    for gap, block, mask in searcher._fitting_blocks(uncovered, delta):
+        total += gap
+        if block:
+            scanned.append((total, block))
+            covered.append(mask)
+    blocks, masks = enumerated_blocks(g, uncovered, delta)
+    assert blocks  # every state has blocks to find
+    assert [b for _, b in scanned] == blocks
+    assert covered == masks
+    found, nodes = element_scan(g, uncovered, delta)
+    assert scanned == found
+    assert total == nodes
+
+
+def test_scan_ticks_stay_within_a_clock_stride(z125, ex1_1, monkeypatch):
+    # the scan counts its nodes in batches; a batch never holds more than
+    # CLOCK_STRIDE + n nodes, so it cannot starve the clock or the node budget
+    counts = []
+    tick = search._Searcher.tick
+
+    def recording(self, count=1):
+        counts.append(count)
+        return tick(self, count)
+
+    monkeypatch.setattr(search._Searcher, "tick", recording)
+    stats = SearchStats()
+    complete_family(z125, PartialFamily(Mode.ONE_ROTATIONAL, ex1_1.base_blocks[:1]),
+                    SearchBudget(max_nodes=4_000_000, max_solutions=2), stats)
+    assert stats.nodes == sum(counts) == 1808010
+    assert max(counts) <= CLOCK_STRIDE + z125.order
+    assert any(c >= CLOCK_STRIDE for c in counts)  # scans that find no block for long
 
 
 @pytest.mark.parametrize("field", ["max_nodes", "max_solutions", "time_limit_s"])
