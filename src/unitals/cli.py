@@ -20,7 +20,7 @@ from . import catalog as cat
 from .designs import Mode, develop, verify_steiner
 from .errors import ParseError, UnitalsError
 from .fingerprint import fingerprint, format_fingerprint
-from .groups import load_cayley_table, spec_from_json
+from .groups import INF, format_element_label, load_cayley_table, spec_from_json
 from .isomorph import are_isomorphic, automorphism_order
 from .search import SearchBudget, SearchStats, search_families
 
@@ -150,10 +150,13 @@ def _cmd_fingerprint(args) -> int:
 
 def _cmd_develop(args) -> int:
     entry = cat.load_entry(args.family)
-    design = develop(entry.group(), entry.family())
+    group = entry.group()
+    design = develop(group, entry.family())
+    labels = group.labels + (INF,)  # ∞ is point |G| in 1-rotational mode
     with open(args.out, "w", encoding="utf-8") as fh:
-        for i in range(design.block_count):
-            fh.write(design.format_block(i) + "\n")
+        for block in design.blocks:
+            fh.write(" ".join(format_element_label(labels[p], compact=True) for p in block)
+                     + "\n")
     print(f"{design.block_count} blocks written to {args.out}", file=sys.stderr)
     return EXIT_OK
 

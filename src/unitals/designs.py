@@ -29,7 +29,7 @@ from .errors import (
     NotAPermutation,
     SchemaError,
 )
-from .groups import INF, CayleyGroup, ElementLabel, format_element_label
+from .groups import INF, CayleyGroup
 
 BLOCK_SIZE = 6
 N_POINTS = 126
@@ -71,7 +71,6 @@ class Design:
     #: (B, k) int64, one block per row, its points ascending; rows in
     #: lexicographic order
     block_rows: np.ndarray = field(repr=False)
-    labels: tuple  # point index -> ElementLabel (∞ last in 1-rotational mode)
     #: (|G|, n) point permutations the blocks were developed by (row g: x -> g*x,
     #: ∞ fixed), so all of them are automorphisms; the identity, (1, n), when
     #: the design was built from bare blocks
@@ -81,19 +80,16 @@ class Design:
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        self.labels = tuple(self.labels)
         self.line_of, self.coverage = _pair_pass(self.block_rows, self.n_points)
 
     @classmethod
-    def from_blocks(cls, blocks: Sequence[Sequence[int]], n_points: int,
-                    labels: Sequence[ElementLabel] | None = None) -> "Design":
+    def from_blocks(cls, blocks: Sequence[Sequence[int]], n_points: int) -> "Design":
         """The design of the given blocks, with the identity as its action."""
         width = _width(blocks)
         rows = np.array(blocks, dtype=np.int64).reshape(len(blocks), width)
         rows.sort(axis=1)
         _check_points(rows, n_points)
-        labels = range(n_points) if labels is None else labels
-        return cls(n_points, rows[np.argsort(row_keys(rows), kind="stable")], labels,
+        return cls(n_points, rows[np.argsort(row_keys(rows), kind="stable")],
                    np.arange(n_points)[None])
 
     @property
@@ -114,10 +110,6 @@ class Design:
             raise ValueError("points lie on differing numbers of lines")
         lines = np.argsort(rows.ravel(), kind="stable") // rows.shape[1]
         return lines.reshape(self.n_points, -1)
-
-    def format_block(self, index: int) -> str:
-        return " ".join(format_element_label(self.labels[p], compact=True)
-                        for p in self.blocks[index])
 
 
 def _width(blocks: Sequence[Sequence[int]]) -> int:
@@ -196,9 +188,7 @@ def develop_blocks(group: CayleyGroup, base_blocks: Sequence[Sequence[int]],
     base = np.array(base_blocks, dtype=np.int64).reshape(len(base_blocks), width)
     rows = np.sort(action[:, base], axis=2).astype(np.int64)  # [g, i] = g*B_i
     rows = rows.reshape(n * len(base_blocks), width)
-    rows = rows[first_rows(rows)]
-    labels = group.labels + ((INF,) if one_rotational else ())
-    return Design(n_points, rows, labels, action)
+    return Design(n_points, rows[first_rows(rows)], action)
 
 
 def row_keys(rows: np.ndarray) -> np.ndarray:
@@ -285,24 +275,15 @@ def verify_steiner(design: Design) -> VerificationReport:
 
 
 def relabel(design: Design, permutation: Sequence[int]) -> Design:
-    """Point x becomes perm[x] in the blocks and labels; an action row a
-    becomes perm a perm^-1, so the copy keeps its automorphisms."""
+    """Point x becomes perm[x] in the blocks; an action row a becomes
+    perm a perm^-1, so the copy keeps its automorphisms."""
     perm = np.asarray(permutation, dtype=np.int64)
     n = design.n_points
     if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
         raise NotAPermutation(f"not a bijection on 0..{n - 1}")
-    labels = (design.labels[p] for p in np.argsort(perm).tolist())
     action = np.empty_like(design.action)
     action[:, perm] = perm[design.action]
-    return Design(n, block_image(design, perm), labels, action)
-
-
-def translation_permutation(group: CayleyGroup, g: int, one_rotational: bool) -> np.ndarray:
-    """Left translation by g as a permutation of design points (∞ fixed)."""
-    perm = group.table[g].astype(np.int64)
-    if one_rotational:
-        perm = np.concatenate([perm, [group.order]])
-    return perm
+    return Design(n, block_image(design, perm), action)
 
 
 def block_image(design: Design, perm: Sequence[int]) -> np.ndarray:

@@ -39,9 +39,6 @@ class Fingerprint:
     def total(self) -> int:
         return sum(v for _, v in self.items)
 
-    def __str__(self):
-        return format_fingerprint(self)
-
 
 def format_fingerprint(fp: Fingerprint) -> str:
     return "{" + ", ".join(f"{k}={v}" for k, v in fp.items) + "}"

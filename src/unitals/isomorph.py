@@ -196,13 +196,15 @@ def _translation_seeds(design: Design) -> list:
     Rows are taken greedily while they enlarge the largest orbit, each only if
     it maps the blocks onto themselves; one-point orbits give no seeds.
     """
-    sizes = np.bincount(design.action.min(axis=0))
-    start = int(np.argmax(sizes))
+    reps, rep, _ = transversal(design)
+    sizes = np.bincount(rep)  # by orbit, as reps lists them
+    largest = int(np.argmax(sizes))
+    start = int(reps[largest])
     n = design.n_points
     seeds: list = []
     orbit = _orbit_under_stabilizer(start, (), seeds, n)
     for row in design.action.astype(np.int64):
-        if orbit.sum() == sizes[start]:
+        if orbit.sum() == sizes[largest]:
             break
         if orbit[row[start]] or not is_block_invariant(design, row):
             continue

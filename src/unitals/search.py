@@ -39,7 +39,7 @@ from .groups import INF, CayleyGroup, subgroups_of_order
 #: nodes between two reads of the clock for the time limit
 CLOCK_STRIDE = 4096
 
-#: a family with some base blocks fixed, the start of a completion
+#: another name for DifferenceFamily; ``perfbench/`` is its only user
 PartialFamily = DifferenceFamily
 
 
@@ -127,7 +127,7 @@ class _Searcher:
     every set of differences as a Python int bitmask (bit d: difference d),
     from the uncovered set down to a block's own differences."""
 
-    def __init__(self, group: CayleyGroup, partial: PartialFamily,
+    def __init__(self, group: CayleyGroup, partial: DifferenceFamily,
                  budget: SearchBudget | None = None, stats: SearchStats | None = None):
         # quotiented_coverage also checks the mode against the group order
         per_block, quotiented = quotiented_coverage(group, partial)
@@ -348,7 +348,7 @@ class _Searcher:
             yield gap, None, 0
 
 
-def complete_family(group: CayleyGroup, partial: PartialFamily,
+def complete_family(group: CayleyGroup, partial: DifferenceFamily,
                     budget: SearchBudget | None = None,
                     stats: SearchStats | None = None) -> list:
     """All completions of the partial family within budget.
@@ -370,7 +370,7 @@ def search_families(group: CayleyGroup, mode: Mode | str,
     Canonical keys count against time_limit_s: when it runs out during one,
     the search stops with budget_hit set.
     """
-    searcher = _Searcher(group, PartialFamily(mode, []), budget, stats)
+    searcher = _Searcher(group, DifferenceFamily(mode, []), budget, stats)
     seen_keys = set()
     for fam in searcher.families():
         if canonicalize:

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import design_of
 from unitals.catalog import (
     FINGERPRINT_SHARING_PAIRS,
     REQUIRED_LIST_SIZES,
@@ -22,7 +23,6 @@ from unitals.designs import (
     Mode,
     develop,
     relabel,
-    translation_permutation,
     verify_steiner,
     is_block_invariant,
 )
@@ -35,8 +35,8 @@ from unitals.fingerprint import (
     format_fingerprint,
 )
 from unitals.groups import INF, build_group, subgroup_closure, validate_table
-from unitals.isomorph import are_isomorphic, automorphism_order
-from unitals.search import PartialFamily, SearchBudget, SearchStats, complete_family
+from unitals.isomorph import are_isomorphic
+from unitals.search import SearchBudget, SearchStats, complete_family
 
 
 def _report(num: int, ok: bool, detail: str):
@@ -46,72 +46,51 @@ def _report(num: int, ok: bool, detail: str):
 
 
 @pytest.fixture(scope="module")
-def reproduced():
-    """id -> (entry, developed design, timings) for the required entries."""
-    out = {}
-    for entry in map(load_entry, iter_entry_paths(required=True)):
-        t0 = time.perf_counter()
-        design = develop(entry.group(), entry.family())
-        steiner = verify_steiner(design).is_steiner
-        t_dev = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        fp = fingerprint(design) if steiner else None
-        t_fp = time.perf_counter() - t0
-        out[entry.id] = (entry, design, steiner, fp, t_dev, t_fp)
-    return out
+def required(catalog_pass):
+    """id -> the catalog pass's EntryResult, for the required entries."""
+    return {p.stem: catalog_pass[p.stem] for p in iter_entry_paths(required=True)}
 
 
-def test_criterion_1_reproduction_one_rotational(reproduced):
+def test_criterion_1_reproduction_one_rotational(required):
     ids = [f"{key}-{j}" for key, size in REQUIRED_LIST_SIZES.items()
            if key.startswith("ex") for j in range(1, size + 1)]
     assert len(ids) == 97
     bad = []
     slow = []
     for eid in ids:
-        entry, design, steiner, fp, t_dev, t_fp = reproduced[eid]
-        if not steiner or fp != entry.expected():
+        r = required[eid]
+        if not r.steiner_ok or r.fingerprint != r.entry.expected():
             bad.append(eid)
-        if t_dev >= 1.0 or t_fp >= 2.0:
-            slow.append((eid, t_dev, t_fp))
+        if r.develop_s >= 1.0 or r.fingerprint_s >= 2.0:
+            slow.append((eid, r.develop_s, r.fingerprint_s))
     _report(1, not bad and not slow,
             f"97/97 one-rotational entries reproduce bit-exactly "
             f"(worst develop+verify "
-            f"{max(r[4] for r in reproduced.values()):.2f}s, worst fingerprint "
-            f"{max(r[5] for r in reproduced.values()):.2f}s)"
+            f"{max(r.develop_s for r in required.values()):.2f}s, worst fingerprint "
+            f"{max(r.fingerprint_s for r in required.values()):.2f}s)"
             + (f"; failures {bad[:4]} slow {slow[:4]}" if bad or slow else ""))
 
 
-def test_criterion_2_classical_case(reproduced):
-    _, _, steiner, fp, _, _ = reproduced["ex3-1"]
-    ok = steiner and format_fingerprint(fp) == "{4=7560000}"
-    _report(2, ok, f"classical unital fingerprint = {format_fingerprint(fp)}")
+def test_criterion_2_classical_case(catalog_pass):
+    r = catalog_pass["ex3-1"]
+    ok = r.steiner_ok and format_fingerprint(r.fingerprint) == "{4=7560000}"
+    _report(2, ok, f"classical unital fingerprint = {format_fingerprint(r.fingerprint)}")
 
 
-def test_criterion_3_sum_invariant(reproduced):
-    computed_ok = all(fp.total == TOTAL_QUADRUPLES
-                      for _, _, _, fp, _, _ in reproduced.values() if fp)
-    transcribed_ok = True
-    n = 0
-    for p in iter_entry_paths():
-        e = load_entry(p)  # loader enforces the invariant; double-check anyway
-        transcribed_ok &= sum(e.expected_fingerprint.values()) == TOTAL_QUADRUPLES
-        n += 1
+def test_criterion_3_sum_invariant(catalog_pass):
+    computed_ok = all(r.fingerprint.total == TOTAL_QUADRUPLES
+                      for r in catalog_pass.values() if r.fingerprint)
+    # the loader enforces the invariant on every entry; double-check anyway
+    transcribed_ok = all(sum(r.entry.expected_fingerprint.values()) == TOTAL_QUADRUPLES
+                         for r in catalog_pass.values())
+    n = len(catalog_pass)
     _report(3, computed_ok and transcribed_ok,
             f"all computed and all {n} transcribed fingerprints sum to 7,560,000")
 
 
-def test_criterion_4_oracle_equivalence(reproduced):
-    disagreements = []
-    checked = 0
-    for p in iter_entry_paths():
-        e = load_entry(p)
-        group = e.group()
-        fam = e.family()
-        algebraic = bool(check_difference_family(group, fam))
-        developed = verify_steiner(develop(group, fam)).is_steiner
-        if algebraic != developed:
-            disagreements.append(e.id)
-        checked += 1
+def test_criterion_4_oracle_equivalence(catalog_pass):
+    disagreements = [i for i, r in catalog_pass.items() if r.algebraic_ok != r.steiner_ok]
+    checked = len(catalog_pass)
 
     rng = np.random.default_rng(20250810)
     corrupt_checked = 0
@@ -146,14 +125,14 @@ def test_criterion_4_oracle_equivalence(reproduced):
             + (f"; disagreements {disagreements[:5]}" if disagreements else ""))
 
 
-def test_criterion_5_non_isomorphism_pairs(reproduced):
+def test_criterion_5_non_isomorphism_pairs(catalog_pass):
     ok = True
     details = []
     for pair in FINGERPRINT_SHARING_PAIRS:
         t0 = time.perf_counter()
-        da = reproduced[pair[0]][1]
-        db = reproduced[pair[1]][1]
-        fa, fb = reproduced[pair[0]][3], reproduced[pair[1]][3]
+        da = design_of(pair[0])
+        db = design_of(pair[1])
+        fa, fb = catalog_pass[pair[0]].fingerprint, catalog_pass[pair[1]].fingerprint
         same_fp = fa == fb
         res = are_isomorphic(da, db)
         elapsed = time.perf_counter() - t0
@@ -171,15 +150,14 @@ def test_criterion_5_non_isomorphism_pairs(reproduced):
     _report(5, ok, "; ".join(details))
 
 
-def test_criterion_6_automorphism_divisibility(reproduced):
+def test_criterion_6_automorphism_divisibility(required):
     bad = []
-    for eid, (entry, design, steiner, fp, _, _) in reproduced.items():
-        count = automorphism_order(design)
-        group = entry.group()
-        one_rot = entry.mode is Mode.ONE_ROTATIONAL
+    for eid, r in required.items():
+        group = r.entry.group()
+        one_rot = r.entry.mode is Mode.ONE_ROTATIONAL
         divisor = 125 if one_rot else 126
-        if not count.complete or count.order % divisor != 0:
-            bad.append((eid, count.order))
+        if not r.aut_complete or r.aut % divisor != 0:
+            bad.append((eid, r.aut))
         # g -> (x -> g*x) is a homomorphism, so the translations by a
         # generating set of G generate all translations, and a group
         # generated by automorphisms consists of automorphisms
@@ -190,13 +168,16 @@ def test_criterion_6_automorphism_divisibility(reproduced):
                 closure = subgroup_closure(group, gens)
         if closure != frozenset(range(group.order)):
             bad.append((eid, f"translations by {gens} do not generate G"))
+        design = design_of(eid)
         for g in gens:
-            perm = translation_permutation(group, g, one_rot)
+            perm = group.table[g]
+            if one_rot:
+                perm = np.append(perm, group.order)  # ∞ fixed
             if not is_block_invariant(design, perm):
                 bad.append((eid, f"translation {g} not an automorphism"))
                 break
     _report(6, not bad,
-            f"automorphism orders of {len(reproduced)} reproduced designs "
+            f"automorphism orders of {len(required)} reproduced designs "
             f"divisible by 125/126; all left translations are automorphisms"
             + (f"; failures {bad[:3]}" if bad else ""))
 
@@ -208,11 +189,11 @@ def test_criterion_7_catalog_counts():
     _report(7, got == expected, f"catalog counts {got}")
 
 
-def test_criterion_8_kernel_vs_reference(reproduced):
+def test_criterion_8_kernel_vs_reference():
     ok = True
     details = []
     for eid in ("ex1-1", "sg126-1-1"):
-        design = reproduced[eid][1]
+        design = design_of(eid)
         fast = fingerprint(design)
         slow = fingerprint_reference(design)
         ok &= fast == slow
@@ -220,12 +201,11 @@ def test_criterion_8_kernel_vs_reference(reproduced):
     _report(8, ok, "; ".join(details))
 
 
-def test_criterion_9_search_completion(reproduced):
-    entry = reproduced["ex1-1"][0]
-    group = entry.group()
-    full = [b for b in entry.base_blocks if not any(x is INF for x in b)]
+def test_criterion_9_search_completion(ex1_1):
+    group = ex1_1.group()
+    full = [b for b in ex1_1.base_blocks if not any(x is INF for x in b)]
     stats = SearchStats()
-    fams = complete_family(group, PartialFamily(Mode.ONE_ROTATIONAL, full),
+    fams = complete_family(group, DifferenceFamily(Mode.ONE_ROTATIONAL, full),
                            SearchBudget(max_nodes=10**6), stats)
     valid = [f for f in fams
              if verify_steiner(develop(group, f)).is_steiner]
@@ -235,18 +215,16 @@ def test_criterion_9_search_completion(reproduced):
             f"{len(valid)}/{len(fams)} completions verify")
 
 
-def test_criterion_10_group_property_suite():
+def test_criterion_10_group_property_suite(catalog_pass):
     # exhaustive associativity on all shipped groups
     shipped_ok = True
     seen = set()
-    for p in iter_entry_paths():
-        e = load_entry(p)
-        key = e.id.rpartition("-")[0]
+    for r in catalog_pass.values():
+        key = r.entry.id.rpartition("-")[0]
         if key in seen:
             continue
         seen.add(key)
-        group = e.group()
-        shipped_ok &= validate_table(group.table).ok
+        shipped_ok &= validate_table(r.entry.group().table).ok
 
     # 1000 randomized mutation tests, every mutation caught
     rng = np.random.default_rng(55)

@@ -20,14 +20,12 @@ from unitals.catalog import (
     reproduce,
     save_entry,
 )
-from unitals.designs import develop
 from unitals.errors import (
     GroupUnavailable,
     SchemaError,
     SumInvariantError,
 )
-from unitals.fingerprint import TOTAL_QUADRUPLES
-from unitals.isomorph import automorphism_order, canonical_key
+from unitals.fingerprint import format_fingerprint
 
 
 def test_required_list_sizes():
@@ -40,28 +38,19 @@ def test_required_list_sizes():
     assert set(sharing) <= set(required)
 
 
-def test_catalog_counts_match_summary_table():
-    # order-125 groups: 8, 32, 20, 29, 8; SmallGroup(126, 1/3/7): 3, 1, 2
-    expected = {"ex1": 8, "ex2": 32, "ex3": 20, "ex4": 29, "ex5": 8,
-                "sg126-1": 3, "sg126-3": 1, "sg126-7": 2}
-    assert {k: len(iter_entry_paths(f"{k}-*")) for k in expected} == expected
-
-
 def test_pair_entries_share_fingerprints():
     for a, b in FINGERPRINT_SHARING_PAIRS:
         ea, eb = entry(a), entry(b)
         assert ea.expected_fingerprint == eb.expected_fingerprint
 
 
-def test_save_load_round_trip(tmp_path):
+def test_save_load_round_trip(tmp_path, catalog_pass):
     # every shipped file is exactly what save_entry writes for it
     out = tmp_path / "entry.json"
-    paths = iter_entry_paths()
-    assert len(paths) == 1239
-    for path in paths:
-        e = load_entry(path)
+    assert len(catalog_pass) == 1239
+    for e in (r.entry for r in catalog_pass.values()):
         save_entry(e, out)
-        assert out.read_bytes() == path.read_bytes(), path.stem
+        assert out.read_bytes() == e.path.read_bytes(), e.id
         assert entry_to_json(load_entry(out)) == entry_to_json(e)
 
 
@@ -123,13 +112,6 @@ def test_schema_rejects_non_integer_numbers(ex1_1, field, value):
             assert repr(k) in str(info.value)
 
 
-def test_all_shipped_fingerprints_sum():
-    # loading enforces the sum invariant; load everything
-    for p in iter_entry_paths():
-        e = load_entry(p)
-        assert sum(e.expected_fingerprint.values()) == TOTAL_QUADRUPLES
-
-
 def test_reproduce_ex1_1(ex1_1):
     rec = reproduce(ex1_1)
     assert rec.steiner_ok and rec.fingerprint_match
@@ -155,11 +137,11 @@ def test_reproduce_required_sample():
             assert rec.steiner_ok and rec.fingerprint_match, e.id
 
 
-def test_whole_catalog_reproduces_bit_exactly():
-    records = catalog_check(load_entry(p) for p in iter_entry_paths())
-    assert len(records) == 1239
-    failures = [(r.entry_id, r.steiner_ok, str(r.computed_fingerprint))
-                for r in records if not (r.steiner_ok and r.fingerprint_match)]
+def test_whole_catalog_reproduces_bit_exactly(catalog_pass):
+    assert len(catalog_pass) == 1239
+    failures = [(i, r.steiner_ok, r.fingerprint and format_fingerprint(r.fingerprint))
+                for i, r in catalog_pass.items()
+                if not (r.steiner_ok and r.fingerprint == r.entry.expected())]
     assert not failures
 
 
@@ -168,17 +150,12 @@ def test_whole_catalog_reproduces_bit_exactly():
 CLASSIFICATION = Path(__file__).parent / "data" / "classify_all.jsonl"
 
 
-def test_whole_catalog_classification_matches_fixture():
+def test_whole_catalog_classification_matches_fixture(catalog_pass):
     """Every entry's |Aut|, its complete flag and its canonical key equal the
     committed records, and no two entries share a key."""
     want = [json.loads(line) for line in CLASSIFICATION.read_text(encoding="utf-8").splitlines()]
-    got = []
-    for path in iter_entry_paths():
-        e = load_entry(path)
-        d = develop(e.group(), e.family())
-        count = automorphism_order(d)
-        got.append({"id": e.id, "aut": count.order, "complete": count.complete,
-                    "key": canonical_key(d).decode()})
+    got = [{"id": i, "aut": r.aut, "complete": r.aut_complete, "key": r.key}
+           for i, r in catalog_pass.items()]
     assert len(want) == 1239 and all(r["complete"] for r in want)
     assert got == want
     assert len({r["key"] for r in got}) == 1239

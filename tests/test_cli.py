@@ -1,5 +1,6 @@
 """Command-line interface: commands, formats, exit codes."""
 
+import hashlib
 import json
 import re
 
@@ -91,6 +92,23 @@ def test_develop_writes_blocks(capsys, tmp_path):
     assert len(lines) == 525
     assert all(len(line.split()) == 6 for line in lines)
     assert any("inf" in line for line in lines)
+
+
+#: sha256 of the ``unitals develop`` output: ex2-5's labels are tuples, and
+#: sg126-8-25's group is an external Cayley table
+DEVELOP_SHA256 = {
+    "ex1-1": "d1509be63ef9c1111c2db9c5400320f26c8c786419f6778f537b6efc9482f851",
+    "ex2-5": "b75d9e8e1615cba31ca5667c1145f3f9c1d99d0ad4882da48654dd3209b35bf3",
+    "sg126-8-25": "378e7b4ed52700e6c16a981f40228836c0e4ab5bc518778a343c81d6ecf491b6",
+}
+
+
+@pytest.mark.parametrize("entry_id", list(DEVELOP_SHA256))
+def test_develop_output_is_pinned(capsys, tmp_path, entry_id):
+    out_file = tmp_path / "blocks.txt"
+    code, _, _ = run(capsys, "develop", path_of(entry_id), "--out", str(out_file))
+    assert code == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == DEVELOP_SHA256[entry_id]
 
 
 def test_iso_non_isomorphic(capsys):

@@ -22,7 +22,6 @@ from unitals.designs import (
     relabel,
     resolve_family,
     row_keys,
-    translation_permutation,
     verify_steiner,
 )
 from unitals.errors import LabelNotInGroup, ModeOrderMismatch, NotAPermutation, SchemaError
@@ -32,7 +31,7 @@ from unitals.groups import INF, Cyclic, build_group
 def test_develop_ex1_1_block_count(design_ex1_1):
     assert design_ex1_1.block_count == 525
     assert design_ex1_1.n_points == 126
-    assert design_ex1_1.labels[125] is INF
+    assert (design_ex1_1.action[:, 125] == 125).all()  # ∞ is fixed
 
 
 def test_develop_trivial_group_single_block():
@@ -112,7 +111,7 @@ def test_verify_ex1_1_is_steiner(design_ex1_1):
 def test_verify_one_block_deleted_leaves_15_pairs(design_ex1_1):
     from unitals.designs import Design
 
-    shrunk = Design.from_blocks(design_ex1_1.blocks[1:], 126, design_ex1_1.labels)
+    shrunk = Design.from_blocks(design_ex1_1.blocks[1:], 126)
     report = verify_steiner(shrunk)
     assert not report.is_steiner
     assert len(report.pair_coverage_defects) == 15
@@ -166,7 +165,7 @@ def test_group_invariance_under_left_translations(entry_id):
     g = e.group()
     d = design_of(entry_id)
     for x in range(0, g.order, 7):
-        perm = translation_permutation(g, x, one_rotational=True)
+        perm = np.append(g.table[x], g.order)  # ∞ fixed
         assert is_block_invariant(d, perm)
 
 
@@ -207,11 +206,11 @@ def _malformed_designs():
     blocks = [list(b) for b in ex1.base_blocks]
     blocks[0][5] = 73
     return {
-        "shrunk": (Design.from_blocks(d.blocks[1:], 126, d.labels), 15, 0),
+        "shrunk": (Design.from_blocks(d.blocks[1:], 126), 15, 0),
         "corrupted": (develop(ex1.group(), DifferenceFamily(Mode.ONE_ROTATIONAL, blocks)),
                       1000, 0),
-        "duplicates": (Design.from_blocks(list(d.blocks) + [d.blocks[3], d.blocks[7]],
-                                          126, d.labels), 30, 2),
+        "duplicates": (Design.from_blocks(list(d.blocks) + [d.blocks[3], d.blocks[7]], 126),
+                       30, 2),
         "single": (develop_blocks(build_group(Cyclic(1)), [[0]]), 0, 0),
     }
 

@@ -46,7 +46,7 @@ def test_rejects_non_steiner(z125, ex1_1):
     from unitals.designs import Design
 
     d = design_of("ex1-1")
-    broken = Design.from_blocks(d.blocks[:-1], 126, d.labels)
+    broken = Design.from_blocks(d.blocks[:-1], 126)
     with pytest.raises(NotASteinerSystem):
         fingerprint(broken)
 
@@ -108,7 +108,7 @@ def test_orbit_path_equals_full_kernel(entry_id, kernel_origins):
     e = entry(entry_id)
     developed = develop(e.group(), e.family())
     fast = pair_histograms(developed)
-    full = pair_histograms(Design.from_blocks(developed.blocks, 126, developed.labels))
+    full = pair_histograms(Design.from_blocks(developed.blocks, 126))
     one_rotational = e.mode is Mode.ONE_ROTATIONAL  # orbits: G and {∞}
     assert kernel_origins == [2 if one_rotational else 1, 126]
     assert fast.dtype == full.dtype
@@ -126,7 +126,7 @@ def test_relabeled_copy_takes_full_kernel(entry_id, kernel_origins):
     moved[perm[:, None], perm[None, :]] = pair_histograms(d)
     assert np.array_equal(pair_histograms(copy), moved)
     assert kernel_origins[-1] == (2 if entry(entry_id).mode is Mode.ONE_ROTATIONAL else 1)
-    bare = Design.from_blocks(copy.blocks, 126, copy.labels)
+    bare = Design.from_blocks(copy.blocks, 126)
     assert np.array_equal(pair_histograms(bare), moved)
     assert kernel_origins[-1] == 126
     assert fingerprint(copy) == fingerprint(d)

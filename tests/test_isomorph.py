@@ -83,7 +83,7 @@ def test_fingerprint_sharing_keys_relabel_stable(entry_id):
     """Non-isomorphism of these pairs rests on the key being an invariant."""
     d = fresh_design(entry_id)
     copy = relabel(d, np.random.default_rng(11).permutation(126))
-    bare = Design.from_blocks(copy.blocks, 126, copy.labels)
+    bare = Design.from_blocks(copy.blocks, 126)
     assert np.array_equal(bare.action, np.arange(126)[None])
     assert canonical_key(copy) == canonical_key(bare) == canonical_key(d)
 
@@ -91,7 +91,7 @@ def test_fingerprint_sharing_keys_relabel_stable(entry_id):
 def test_iso_witness_onto_bare_relabeled_copy():
     d = fresh_design("sg126-3-1")
     copy = relabel(d, np.random.default_rng(17).permutation(126))
-    bare = Design.from_blocks(copy.blocks, 126, copy.labels)
+    bare = Design.from_blocks(copy.blocks, 126)
     res = are_isomorphic(d, bare)
     assert res.isomorphic and res.complete
     assert maps_blocks(d, bare, res.witness)
@@ -216,7 +216,7 @@ def bare_relabeled(entry_id, seed):
     """A relabeled copy of the entry's design, built from its blocks alone, so
     with the identity as its only action."""
     copy = relabel(design_of(entry_id), np.random.default_rng(seed).permutation(126))
-    d = Design.from_blocks(copy.blocks, 126, copy.labels)
+    d = Design.from_blocks(copy.blocks, 126)
     assert np.array_equal(d.action, np.arange(126)[None])
     return d
 

@@ -9,14 +9,13 @@ import pytest
 
 from conftest import emit_ex1_1, entry
 from unitals import catalog, isomorph, search
-from unitals.designs import Mode, develop, resolve_family, verify_steiner
+from unitals.designs import DifferenceFamily, Mode, develop, resolve_family, verify_steiner
 from unitals.difference import check_difference_family
 from unitals.errors import InconsistentPartial, ModeOrderMismatch
 from unitals.groups import INF, Cyclic, Product, build_group, load_cayley_table, save_cayley_table
 from unitals.isomorph import canonical_key
 from unitals.search import (
     CLOCK_STRIDE,
-    PartialFamily,
     SearchBudget,
     SearchStats,
     _candidates_by_delta,
@@ -32,7 +31,7 @@ def full_blocks(e):
 
 
 def test_completion_recovers_infinity_block(z125, ex1_1):
-    partial = PartialFamily(Mode.ONE_ROTATIONAL, full_blocks(ex1_1))
+    partial = DifferenceFamily(Mode.ONE_ROTATIONAL, full_blocks(ex1_1))
     stats = SearchStats()
     fams = complete_family(z125, partial, SearchBudget(max_nodes=10**6), stats)
     assert stats.nodes < 10**6 and not stats.budget_hit
@@ -44,7 +43,7 @@ def test_completion_recovers_infinity_block(z125, ex1_1):
 
 def test_completion_of_complete_family_returns_itself(z125, ex1_1):
     stats = SearchStats()
-    fams = complete_family(z125, PartialFamily(Mode.ONE_ROTATIONAL, ex1_1.base_blocks),
+    fams = complete_family(z125, DifferenceFamily(Mode.ONE_ROTATIONAL, ex1_1.base_blocks),
                            SearchBudget(), stats)
     assert len(fams) == 1
     assert fams[0].base_blocks == ex1_1.base_blocks
@@ -54,7 +53,7 @@ def test_inconsistent_partial_rejected(z125, ex1_1):
     blocks = full_blocks(ex1_1)
     doubled = blocks + [blocks[0]]
     with pytest.raises(InconsistentPartial):
-        complete_family(z125, PartialFamily(Mode.ONE_ROTATIONAL, doubled))
+        complete_family(z125, DifferenceFamily(Mode.ONE_ROTATIONAL, doubled))
 
 
 @pytest.mark.parametrize("j", range(1, 9))
@@ -62,7 +61,7 @@ def test_one_block_removed_recovers(j, z125):
     e = entry(f"ex1-{j}")
     partial_blocks = [b for i, b in enumerate(e.base_blocks) if i != 1]
     stats = SearchStats()
-    fams = complete_family(z125, PartialFamily(Mode.ONE_ROTATIONAL, partial_blocks),
+    fams = complete_family(z125, DifferenceFamily(Mode.ONE_ROTATIONAL, partial_blocks),
                            SearchBudget(max_nodes=10**6), stats)
     assert not stats.budget_hit
     assert fams
@@ -91,7 +90,7 @@ def z125_identity_at_7(z125, ex1_1, tmp_path):
 def test_full_block_scan_with_identity_not_at_zero(z125, ex1_1, tmp_path):
     g, kept = z125_identity_at_7(z125, ex1_1, tmp_path)
     stats = SearchStats()
-    fams = complete_family(g, PartialFamily(Mode.ONE_ROTATIONAL, kept), stats=stats)
+    fams = complete_family(g, DifferenceFamily(Mode.ONE_ROTATIONAL, kept), stats=stats)
     assert len(fams) == 2 and not stats.budget_hit
     for fam in fams:
         assert check_difference_family(g, fam)
@@ -169,7 +168,7 @@ def test_full_block_scan_matches_enumeration(state, z125, ex1_1, tmp_path):
         kept = {"ex1-1": e.base_blocks[:1] + infinity_block(e),
                 "ex2-4": e.base_blocks[:2] + infinity_block(e),
                 "sg126-12-15": e.base_blocks[4:] + [[0, 1, 2, 5, 8, 14]]}[state]
-    searcher = search._Searcher(g, PartialFamily(mode, kept))
+    searcher = search._Searcher(g, DifferenceFamily(mode, kept))
     uncovered = searcher.uncovered
     delta = (uncovered & -uncovered).bit_length() - 1
     assert not searcher.is_involution[delta]
@@ -202,7 +201,7 @@ def test_scan_ticks_stay_within_a_clock_stride(z125, ex1_1, monkeypatch):
 
     monkeypatch.setattr(search._Searcher, "tick", recording)
     stats = SearchStats()
-    complete_family(z125, PartialFamily(Mode.ONE_ROTATIONAL, ex1_1.base_blocks[:1]),
+    complete_family(z125, DifferenceFamily(Mode.ONE_ROTATIONAL, ex1_1.base_blocks[:1]),
                     SearchBudget(max_nodes=4_000_000, max_solutions=2), stats)
     assert stats.nodes == sum(counts) == 1808010
     assert max(counts) <= CLOCK_STRIDE + z125.order
@@ -301,7 +300,7 @@ def test_seeded_rediscovery_matches_catalog(z125, ex1_1):
     A from-scratch run needs > 3e8 nodes before the first solution, so the
     rediscovery check seeds the first base block and searches the rest.
     """
-    partial = PartialFamily(Mode.ONE_ROTATIONAL, ex1_1.base_blocks[:1])
+    partial = DifferenceFamily(Mode.ONE_ROTATIONAL, ex1_1.base_blocks[:1])
     stats = SearchStats()
     fams = complete_family(z125, partial,
                            SearchBudget(max_nodes=4_000_000, max_solutions=2), stats)
@@ -321,7 +320,7 @@ def test_emitted_families_pass_checks(z125):
     partial_source = entry("ex1-2")
     seen = set()
     fams = complete_family(z125,
-                           PartialFamily(Mode.ONE_ROTATIONAL,
+                           DifferenceFamily(Mode.ONE_ROTATIONAL,
                                          partial_source.base_blocks[:2]),
                            SearchBudget(max_nodes=2_000_000, max_solutions=4), stats)
     for fam in fams:
@@ -335,7 +334,7 @@ def test_transitive_completion_with_stabilized_blocks():
     e = entry("sg126-1-1")
     g = e.group()
     # drop the final block and let the search recover a completion
-    partial = PartialFamily(Mode.TRANSITIVE, e.base_blocks[:-1])
+    partial = DifferenceFamily(Mode.TRANSITIVE, e.base_blocks[:-1])
     stats = SearchStats()
     fams = complete_family(g, partial,
                            SearchBudget(max_nodes=2_000_000, max_solutions=2), stats)
@@ -372,7 +371,7 @@ def test_transitive_completion_pinned(entry_id, removed):
     nodes, solutions, first_nodes, completions = PINNED_COMPLETIONS[entry_id, removed]
     e = entry(entry_id)
     g = e.group()
-    partial = PartialFamily(Mode.TRANSITIVE,
+    partial = DifferenceFamily(Mode.TRANSITIVE,
                             [b for i, b in enumerate(e.base_blocks) if i != removed])
     stats = SearchStats()
     fams = complete_family(g, partial, SearchBudget(max_nodes=200_000), stats)
@@ -390,12 +389,12 @@ def test_completion_pins_hold_on_searched_and_fresh_groups(entry_id, removed, mo
     nodes, solutions, _, completions = PINNED_COMPLETIONS[entry_id, removed]
     e = entry(entry_id)
     searched = e.group()
-    complete_family(searched, PartialFamily(Mode.TRANSITIVE, e.base_blocks))  # fills the cache
+    complete_family(searched, DifferenceFamily(Mode.TRANSITIVE, e.base_blocks))  # fills the cache
     assert "candidates_by_delta" in searched._cache
     monkeypatch.setattr(catalog, "_group_cache", {})
     fresh = e.group()
     assert fresh is not searched and not fresh._cache
-    partial = PartialFamily(Mode.TRANSITIVE,
+    partial = DifferenceFamily(Mode.TRANSITIVE,
                             [b for i, b in enumerate(e.base_blocks) if i != removed])
     for g in (searched, fresh):
         stats = SearchStats()
@@ -415,14 +414,14 @@ def test_stabilized_candidates_built_once_per_group(monkeypatch):
     monkeypatch.setattr(search, "block_differences", no_build)
     assert _candidates_by_delta(g) is by_delta
     e = entry("sg126-10-5")
-    assert complete_family(g, PartialFamily(Mode.TRANSITIVE, e.base_blocks))
+    assert complete_family(g, DifferenceFamily(Mode.TRANSITIVE, e.base_blocks))
 
 
 def test_searched_group_still_equals_its_copy():
     e = entry("sg126-12-41")
     g = dataclasses.replace(e.group())  # shares the table, not the cache
     copy = dataclasses.replace(g)
-    complete_family(g, PartialFamily(Mode.TRANSITIVE, e.base_blocks))
+    complete_family(g, DifferenceFamily(Mode.TRANSITIVE, e.base_blocks))
     assert g._cache and not copy._cache
     assert g == copy
 
@@ -454,7 +453,7 @@ def test_mask_branches_pinned(entry_id, removed, max_nodes, nodes, hit, found):
     e = entry(entry_id)
     kept = [b for i, b in enumerate(e.base_blocks) if i not in removed]
     stats = SearchStats()
-    fams = complete_family(e.group(), PartialFamily(e.mode, kept),
+    fams = complete_family(e.group(), DifferenceFamily(e.mode, kept),
                            SearchBudget(max_nodes=max_nodes), stats)
     assert (stats.nodes, stats.budget_hit) == (nodes, hit)
     assert [f.base_blocks[:len(kept)] for f in fams] == [kept] * len(found)
@@ -485,7 +484,7 @@ def test_search_checks_mode_against_order(order, mode):
         next(search_families(g, mode, SearchBudget(max_nodes=10), stats=stats))
     assert stats.nodes == 0
     with pytest.raises(ModeOrderMismatch):
-        complete_family(g, PartialFamily(mode, []))
+        complete_family(g, DifferenceFamily(mode, []))
 
 
 # Recorded before the full-block scan was batched, with an element-by-element
@@ -518,7 +517,7 @@ def test_full_block_search_counts_pinned(entry_id, removed, max_nodes, max_solut
     kept = (e.base_blocks[:1] if removed is None
             else [b for i, b in enumerate(e.base_blocks) if i not in removed])
     stats = SearchStats()
-    fams = complete_family(g, PartialFamily(e.mode, kept),
+    fams = complete_family(g, DifferenceFamily(e.mode, kept),
                            SearchBudget(max_nodes=max_nodes, max_solutions=max_solutions), stats)
     assert (stats.nodes, stats.solutions, stats.budget_hit) == (nodes, solutions, hit)
     assert len(fams) == solutions
