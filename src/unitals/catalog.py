@@ -274,7 +274,7 @@ def catalog_check(entries: Iterable[CatalogEntry], threads: int = 1) -> list:
     """ReproductionRecords for all entries, sorted by entry id, made one after
     another.  To use several CPUs, run one process per id glob, e.g.
     ``'*[02468]'`` and ``'*[13579]'``.  ``threads`` must be 1; it stays only
-    while the benchmark harness passes it (ROADMAP item 7)."""
+    while the benchmark harness passes it (ROADMAP item 4)."""
     if threads != 1:
         raise ValueError(f"catalog_check runs serially; threads must be 1, got {threads}")
     return sorted([reproduce(e) for e in entries],

@@ -21,11 +21,13 @@ from .groups import CayleyGroup
 
 
 def block_differences(group: CayleyGroup, blocks) -> tuple:
-    """(counts, stabs) for a (C, k) array of element indices, one block per row.
+    """(counts, stabs) for a (C, k) array of distinct element indices, one
+    block per row.
 
     counts[c, d] is the number of ordered pairs (a, b), a != b, of block c with
-    b^-1 a = d; stabs[c] is the order of {h : h*B = B}.  Such an h maps the
-    first element b0 into B, so h = a*b0^-1 for some a in B: k candidates.
+    b^-1 a = d; stabs[c] is the order of {h : h*B = B}.  h*B = B exactly when
+    h*b lies in B for all k members b, that is when k pairs (a, b) of B have
+    a*b^-1 = h, so stabs[c] counts the h with k such pairs.
     """
     n = group.order
     blocks = np.asarray(blocks, dtype=np.int64)
@@ -33,16 +35,15 @@ def block_differences(group: CayleyGroup, blocks) -> tuple:
         raise IndexOutOfRange(f"block entries outside 0..{n - 1}")
     n_blocks, k = blocks.shape
     table, inverses = group.table, group.inverses
-    diffs = table[inverses[blocks][:, :, None], blocks[:, None, :]]  # [c, i, j] = b_i^-1 b_j
     offsets = np.arange(n_blocks)[:, None, None] * n
-    counts = np.bincount((diffs + offsets).ravel(), minlength=n_blocks * n)
-    counts = counts.reshape(n_blocks, n)
+
+    def per_block(diffs):  # [c, x]: how many entries of diffs[c] equal x
+        counts = np.bincount((diffs + offsets).ravel(), minlength=n_blocks * n)
+        return counts.reshape(n_blocks, n)
+
+    counts = per_block(table[inverses[blocks][:, :, None], blocks[:, None, :]])  # b_i^-1 b_j
     counts[:, group.identity] = 0  # b^-1 a = e iff a = b
-    if k == 0:
-        return counts, np.full(n_blocks, n, dtype=np.int64)
-    hs = table[blocks, inverses[blocks[:, :1]]]  # [c, i] = b_i * b_0^-1
-    images = np.sort(table[hs[:, :, None], blocks[:, None, :]], axis=2)
-    stabs = (images == np.sort(blocks, axis=1)[:, None, :]).all(axis=2).sum(axis=1)
+    stabs = (per_block(table[blocks[:, :, None], inverses[blocks][:, None, :]]) == k).sum(axis=1)
     return counts, stabs
 
 
@@ -55,14 +56,19 @@ def quotiented_coverage(group: CayleyGroup, family: DifferenceFamily) -> tuple:
     The stabilizer order |S| of a block B divides each of its counts: h in S
     sends a pair (a, b) of B to the pair (ha, hb) of B, which has the same
     difference (hb)^-1 ha = b^-1 a, and only the identity fixes a pair, so S
-    splits the pairs with a given difference into orbits of size |S|."""
-    per_block = []
+    splits the pairs with a given difference into orbits of size |S|.
+
+    The blocks of each size (6 points, 5 for an ∞-block) are counted in one
+    call of block_differences."""
+    finites = [[p for p in block if p != group.order] for block in resolve_family(group, family)]
+    per_block = [None] * len(finites)
     quotiented = np.zeros(group.order, dtype=np.int64)
-    for block in resolve_family(group, family):
-        finite = [p for p in block if p != group.order]
-        block_counts, stabs = block_differences(group, [finite])
-        per_block.append((finite, int(stabs[0]), block_counts[0]))
-        quotiented += block_counts[0] // stabs[0]
+    for size in {len(finite) for finite in finites}:
+        at = [i for i, finite in enumerate(finites) if len(finite) == size]
+        counts, stabs = block_differences(group, [finites[i] for i in at])
+        quotiented += (counts // stabs[:, None]).sum(axis=0)
+        for i, block_counts, stab in zip(at, counts, stabs.tolist()):
+            per_block[i] = (finites[i], stab, block_counts)
     return per_block, quotiented
 
 

@@ -12,9 +12,11 @@ table.  Three candidate kinds:
   * subgroup-coset unions (stabilized blocks, orbit size |G|/|S|), which are
     the only way to cover involution differences in transitive mode.
 
-The coset unions, indexed by the differences they cover, and the full n x n
-table of difference-pair masks are built once per group and kept in
-``CayleyGroup._cache``.
+Three tables are built once per group and kept in ``CayleyGroup._cache``:
+the coset-union candidates indexed by the differences they cover
+(``candidates_by_delta``), the n x n difference-pair masks
+(``difference_pairs``) and, per least uncovered difference delta, the
+first-level masks of the full-block scan (``root_masks``).
 
 search_families canonicalizes by the canonical key alone: a family is dropped
 when its developed design has the key of one emitted before.  This works over
@@ -23,7 +25,6 @@ every group.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from itertools import islice
@@ -70,28 +71,52 @@ def _masks(flags: np.ndarray) -> list:
     return [int.from_bytes(buf[i:i + width], "little") for i in range(0, len(buf), width)]
 
 
+def _coset_unions(group: CayleyGroup, s: int) -> np.ndarray:
+    """[i, j]: the elements of the order-s subgroup S_i, ascending, then those
+    of its j-th other right coset, ascending, the cosets taken in the order
+    of their least elements; shape (subgroups, n/s - 1, 2s)."""
+    subs = np.array([sorted(sub) for sub in subgroups_of_order(group, s)],
+                    dtype=np.int64).reshape(-1, s)
+    cosets = np.sort(group.table[subs].transpose(0, 2, 1), axis=2)  # [i, x] = S_i x
+    first = (cosets[:, :, 0] == np.arange(group.order)) & (cosets != group.identity).all(axis=2)
+    cosets = cosets[first].reshape(len(subs), group.order // s - 1, s)
+    return np.concatenate([np.broadcast_to(subs[:, None], cosets.shape), cosets], axis=2)
+
+
 def _stabilized_candidates(group: CayleyGroup) -> tuple:
     """(blocks, covered) of the coset-union blocks, one per left-stabilizer
     class and quotient-exact only: blocks[i] holds sorted element indices
     with the identity, in discovery order, and covered[i, d] says that block
-    i covers difference d (once, after the quotient)."""
-    rows = []  # in discovery order: the DFS tries candidates in this order
-    for s in (6, 3, 2):
-        r = BLOCK_SIZE // s - 1  # cosets joined to the subgroup, out of n/s - 1
-        combos = list(itertools.combinations(range(group.order // s - 1), r))
-        combos = np.array(combos, dtype=np.int64).reshape(len(combos), r)
-        for sub in subgroups_of_order(group, s):
-            sub = np.array(sorted(sub))
-            cosets = np.sort(group.table[sub].T, axis=1)  # rows S*x
-            cosets = cosets[first_rows(cosets)]
-            extra = cosets[(cosets != group.identity).all(axis=1)][combos]
-            rows.append(np.hstack([np.broadcast_to(sub, (len(combos), s)),
-                                   extra.reshape(len(combos), r * s)]))
-    rows = np.sort(np.concatenate(rows), axis=1)
+    i covers difference d (once, after the quotient).
+
+    The blocks are tried in this order: each order-6 subgroup; each order-3
+    subgroup S joined to each other coset Sx; each order-2 subgroup S joined
+    to each pair of other cosets Sx, Sy.  The stabilizer of S u Sx u Sy holds
+    S and acts freely on the block, so it is S or has order 6, and then the
+    block is an order-6 subgroup, listed earlier.  With stabilizer S it
+    counts each difference 0 or 2 times.  Each part S u Sx counts each
+    difference a multiple of 2 times, S being in its stabilizer too, and the
+    block at least as often as S u Sx and S u Sy together, outside the
+    involution of S.  So only the cosets for which S u Sx counts no
+    difference more than twice are paired, and only when S u Sx and S u Sy
+    share no difference but that involution; the blocks kept, their order
+    and their masks stay those of every pair."""
+    sixes = np.array([sorted(sub) for sub in subgroups_of_order(group, 6)],
+                     dtype=np.int64).reshape(-1, 6)
+    twos = _coset_unions(group, 2)
+    counts = block_differences(group, twos.reshape(-1, 4))[0].reshape(*twos.shape[:2], -1)
+    held = (counts > 0).astype(np.float32)
+    fits = counts.max(axis=2) <= 2
+    pairs = fits[:, :, None] & fits[:, None, :] & (held @ held.transpose(0, 2, 1) == 1)
+    i, a, b = np.nonzero(np.triu(pairs, 1))
+    rows = np.concatenate([sixes, _coset_unions(group, 3).reshape(-1, 6),
+                           np.hstack([twos[i, a], twos[i, b, 2:]])])
+    rows = np.sort(rows, axis=1)
     rows = rows[np.sort(first_rows(rows))]  # each block once, in discovery order
     counts, stabs = block_differences(group, rows)
-    # each difference covered once after the quotient, or not at all
-    keep = ((counts == 0) | (counts == stabs[:, None])).all(axis=1)
+    # each difference covered once after the quotient, or not at all; the
+    # stabilizer order divides every count (see quotiented_coverage)
+    keep = counts.max(axis=1) <= stabs
     return rows[keep], counts[keep] != 0
 
 
@@ -118,7 +143,20 @@ def _difference_pairs(group: CayleyGroup) -> list:
         masks = [(1 << d) | (1 << i) if d != i else 0
                  for d, i in enumerate(group.inverses.tolist())]
         cached = group._cache["difference_pairs"] = [
-            [masks[d] for d in row] for row in group.table[group.inverses].tolist()]
+            list(map(masks.__getitem__, row)) for row in group.table[group.inverses].tolist()]
+    return cached
+
+
+def _root_masks(group: CayleyGroup, delta: int) -> list:
+    """root[x] = pairs[e][x] | pairs[delta][x], the differences of x with e
+    and delta, when these four are pairwise distinct, else 0; built once per
+    group and delta."""
+    roots = group._cache.setdefault("root_masks", {})
+    cached = roots.get(delta)
+    if cached is None:
+        pairs = _difference_pairs(group)
+        cached = roots[delta] = [pe | pd if pe and pd and not pe & pd else 0
+                                 for pe, pd in zip(pairs[group.identity], pairs[delta])]
     return cached
 
 
@@ -254,16 +292,18 @@ class _Searcher:
         the mask of its differences, gap the scan nodes since the previous
         yield.
 
-        The scan is one loop nest, a level per free place, over every element
-        from 0 on (e never fits: its pair mask with itself is 0).  x fits the
+        The scan is one loop nest, a level per free place.  x fits the
         members when its differences s^-1 x and x^-1 s with each member s are
         free (uncovered, and not covered by the members) and pairwise
         distinct; s^-1 x = x^-1 s is an involution difference, which needs a
-        stabilized block, and its pair mask is 0.  An element that fits a
-        level fitted the level above, so each level filters the later entries
-        of the list above, against the member added last only: ds, the
-        differences of x with the earlier members, lies in the free set
-        above, so (pq | ds) & busy tests both pq and ds against this level's.
+        stabilized block, and its pair mask is 0.  The first level walks the
+        free differences alone, ascending, since e^-1 x = x must be free, and
+        reads the differences with e and delta from _root_masks.  An element
+        that fits a level fitted the level above, so each later level filters
+        the later entries of the list above, against the member added last
+        only: ds, the differences of x with the earlier members, lies in the
+        free set above, so (pq | ds) & busy tests both pq and ds against this
+        level's.
 
         Nodes count as in an element-by-element scan: one per non-member
         element tried after the last member (only e and delta can come
@@ -287,9 +327,12 @@ class _Searcher:
         seed = pairs[e][delta]  # delta fits: uncovered differences pair with inverses
         f2 = uncovered & ~seed
         busy = ~f2
-        c3 = []
-        for x, pe, pd in zip(range(n), pairs[e], pairs[delta]):
-            if pe and pd and not ((ds := pe | pd) & busy or pe & pd):
+        root, c3, rest = _root_masks(self.group, delta), [], f2
+        while rest:  # the free differences x, ascending: only they can fit
+            low = rest & -rest
+            x = low.bit_length() - 1
+            rest ^= low
+            if (ds := root[x]) and not ds & busy:
                 c3.append((x, ds))
         gap = m3 = 0
         for i3, (x3, d3) in enumerate(c3):

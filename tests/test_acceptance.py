@@ -168,7 +168,8 @@ def test_criterion_6_automorphism_divisibility(required):
                 closure = subgroup_closure(group, gens)
         if closure != frozenset(range(group.order)):
             bad.append((eid, f"translations by {gens} do not generate G"))
-        design = design_of(eid)
+        # developed here and dropped after the check, not kept in design_of's cache
+        design = develop(group, r.entry.family())
         for g in gens:
             perm = group.table[g]
             if one_rot:

@@ -5,8 +5,9 @@ import itertools
 import numpy as np
 import pytest
 from conftest import entry
+from test_search import PINNED_COMPLETIONS
 from unitals.catalog import catalog_dir
-from unitals.designs import DifferenceFamily, Mode, develop, verify_steiner
+from unitals.designs import DifferenceFamily, Mode, develop, resolve_family, verify_steiner
 from unitals.difference import (
     block_differences,
     check_difference_family,
@@ -138,6 +139,48 @@ def test_oracle_agreement_random_corruptions(z125, ex1_1):
         algebraic = bool(check_difference_family(z125, fam))
         developed = verify_steiner(develop(z125, fam)).is_steiner
         assert algebraic == developed
+
+
+def coverage_one_block_at_a_time(group, family):
+    """The oracle for quotiented_coverage: block_differences on each base
+    block alone, in family order."""
+    per_block, quotiented = [], np.zeros(group.order, dtype=np.int64)
+    for block in resolve_family(group, family):
+        finite = [p for p in block if p != group.order]
+        counts, stabs = block_differences(group, [finite])
+        per_block.append((finite, int(stabs[0]), counts[0]))
+        quotiented += counts[0] // stabs[0]
+    return per_block, quotiented
+
+
+def coverage_cases():
+    """(id, group, family): every partial family of PINNED_COMPLETIONS, the
+    first family of each catalog list, and ex1-1 with its ∞-block first."""
+    for entry_id, removed in PINNED_COMPLETIONS:
+        e = entry(entry_id)
+        kept = [b for i, b in enumerate(e.base_blocks) if i != removed]
+        yield f"{entry_id}-without-{removed}", e.group(), DifferenceFamily(e.mode, kept)
+    for key in sorted(p.name for p in catalog_dir().iterdir()):
+        e = entry(f"{key}-1")
+        yield e.id, e.group(), e.family()
+    e = entry("ex1-1")
+    yield "ex1-1-infinity-first", e.group(), DifferenceFamily(e.mode, e.base_blocks[::-1])
+
+
+def test_quotiented_coverage_matches_one_block_at_a_time():
+    seen = set()
+    for case, group, family in coverage_cases():
+        per_block, quotiented = quotiented_coverage(group, family)
+        want_blocks, want_quotiented = coverage_one_block_at_a_time(group, family)
+        assert np.array_equal(quotiented, want_quotiented), case
+        assert len(per_block) == len(want_blocks), case
+        for (finite, stab, counts), (want_finite, want_stab, want_counts) in zip(
+                per_block, want_blocks):
+            assert (finite, stab) == (want_finite, want_stab), case
+            assert type(stab) is int, case
+            assert np.array_equal(counts, want_counts), case
+        seen.update(len(finite) for finite, _, _ in per_block)
+    assert seen == {5, 6}  # both block sizes, ∞-blocks among them
 
 
 def test_transitive_family_with_short_orbits():

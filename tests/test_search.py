@@ -3,16 +3,33 @@
 import dataclasses
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
 
 from conftest import emit_ex1_1, entry
 from unitals import catalog, isomorph, search
-from unitals.designs import DifferenceFamily, Mode, develop, resolve_family, verify_steiner
-from unitals.difference import check_difference_family
+from unitals.designs import (
+    BLOCK_SIZE,
+    DifferenceFamily,
+    Mode,
+    develop,
+    first_rows,
+    resolve_family,
+    verify_steiner,
+)
+from unitals.difference import block_differences, check_difference_family
 from unitals.errors import InconsistentPartial, ModeOrderMismatch
-from unitals.groups import INF, Cyclic, Product, build_group, load_cayley_table, save_cayley_table
+from unitals.groups import (
+    INF,
+    Cyclic,
+    Product,
+    build_group,
+    load_cayley_table,
+    save_cayley_table,
+    subgroups_of_order,
+)
 from unitals.isomorph import canonical_key
 from unitals.search import (
     CLOCK_STRIDE,
@@ -417,6 +434,29 @@ def test_stabilized_candidates_built_once_per_group(monkeypatch):
     assert complete_family(g, DifferenceFamily(Mode.TRANSITIVE, e.base_blocks))
 
 
+def test_root_masks_built_once_per_group():
+    e = entry("sg126-12-15")
+    g = dataclasses.replace(e.group())  # shares the table, not the cache
+    partial = DifferenceFamily(Mode.TRANSITIVE, e.base_blocks[2:])
+    complete_family(g, partial)
+    built = dict(g._cache["root_masks"])
+    assert built  # the search scanned full blocks
+    e_pairs = _difference_pairs(g)[g.identity]
+    for delta, masks in built.items():
+        assert masks == [pe | pd if pe and pd and not pe & pd else 0
+                         for pe, pd in zip(e_pairs, _difference_pairs(g)[delta])]
+    # a second search on the group reads the masks and adds none
+    g._cache["root_masks"] = types.MappingProxyType(built)
+    stats = SearchStats()
+    assert complete_family(g, partial, stats=stats)
+    assert stats.nodes == 2305  # as in PINNED_FULL_BLOCK_SEARCHES
+    assert all(search._root_masks(g, delta) is masks for delta, masks in built.items())
+    fresh = dataclasses.replace(g)
+    complete_family(fresh, partial)
+    assert fresh._cache["root_masks"].keys() == built.keys()
+    assert all(fresh._cache["root_masks"][d] is not built[d] for d in built)
+
+
 def test_searched_group_still_equals_its_copy():
     e = entry("sg126-12-41")
     g = dataclasses.replace(e.group())  # shares the table, not the cache
@@ -473,6 +513,40 @@ def test_stabilized_candidates_order_pinned(entry_id, count, head, last):
     assert len(blocks) == len(covered) == count
     assert [tuple(b) for b in blocks[[0, 1, 2, -1]].tolist()] == head + [last]
     assert covered[:3].sum(axis=1).tolist() == [5, 5, 5]
+
+
+def every_combination_candidates(group):
+    """The coset-union candidates from every combination of cosets, with no
+    coset dropped before the blocks are checked: the oracle for the
+    prefiltered _stabilized_candidates."""
+    rows = []
+    for s in (6, 3, 2):
+        r = BLOCK_SIZE // s - 1
+        combos = list(itertools.combinations(range(group.order // s - 1), r))
+        combos = np.array(combos, dtype=np.int64).reshape(len(combos), r)
+        for sub in subgroups_of_order(group, s):
+            sub = np.array(sorted(sub))
+            cosets = np.sort(group.table[sub].T, axis=1)  # rows S*x
+            cosets = cosets[first_rows(cosets)]
+            extra = cosets[(cosets != group.identity).all(axis=1)][combos]
+            rows.append(np.hstack([np.broadcast_to(sub, (len(combos), s)),
+                                   extra.reshape(len(combos), r * s)]))
+    rows = np.sort(np.concatenate(rows), axis=1)
+    rows = rows[np.sort(first_rows(rows))]
+    counts, stabs = block_differences(group, rows)
+    keep = ((counts == 0) | (counts == stabs[:, None])).all(axis=1)
+    return rows[keep], counts[keep] != 0
+
+
+@pytest.mark.parametrize("list_name", ["sg126-1", "sg126-2", "sg126-3", "sg126-7", "sg126-8",
+                                       "sg126-10", "sg126-12"])
+def test_stabilized_candidates_match_every_combination(list_name):
+    g = entry(f"{list_name}-1").group()
+    blocks, covered = _stabilized_candidates(g)
+    want_blocks, want_covered = every_combination_candidates(g)
+    assert len(want_blocks)  # every sg126 group has coset-union candidates
+    assert np.array_equal(blocks, want_blocks)  # the same blocks in the same order
+    assert np.array_equal(covered, want_covered)
 
 
 @pytest.mark.parametrize("order, mode", [(125, Mode.TRANSITIVE), (126, Mode.ONE_ROTATIONAL),
