@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -108,7 +108,10 @@ class Design:
         degrees = np.bincount(rows.ravel(), minlength=self.n_points)
         if degrees.min() != degrees.max():
             raise ValueError("points lie on differing numbers of lines")
-        lines = np.argsort(rows.ravel(), kind="stable") // rows.shape[1]
+        # keys in the narrowest dtype that holds every point: a stable sort of
+        # 8- or 16-bit integers is a radix sort
+        keys = rows.ravel().astype(np.min_scalar_type(self.n_points - 1))
+        lines = np.argsort(keys, kind="stable") // rows.shape[1]
         return lines.reshape(self.n_points, -1)
 
 
@@ -137,7 +140,7 @@ def _check_points(rows: np.ndarray, n_points: int) -> None:
 def _pair_pass(rows: np.ndarray, n: int) -> tuple:
     """(line_of, coverage) over every point pair p < q of every block; the
     first block through a pair is its line when several cover it."""
-    j, k = np.triu_indices(rows.shape[1], k=1)
+    j, k = np.divmod(_upper_pairs(rows.shape[1]), rows.shape[1])
     pairs = (rows[:, j] * n + rows[:, k]).ravel()
     coverage = np.bincount(pairs, minlength=n * n).astype(np.int32).reshape(n, n)
     first = np.full((n, n), len(rows), dtype=np.int32)
@@ -145,6 +148,16 @@ def _pair_pass(rows: np.ndarray, n: int) -> tuple:
     line_of = np.minimum(first, first.T)
     line_of[line_of == len(rows)] = -1
     return line_of, coverage
+
+
+@lru_cache(maxsize=8)
+def _upper_pairs(n: int) -> np.ndarray:
+    """Read-only flat indices p * n + q of the pairs p < q of 0..n-1, in
+    ``np.triu_indices`` order; kept for the last 8 sizes asked."""
+    p, q = np.triu_indices(n, k=1)
+    flat = p * n + q
+    flat.flags.writeable = False
+    return flat
 
 
 def resolve_family(group: CayleyGroup, family: DifferenceFamily) -> list:
@@ -258,11 +271,11 @@ def verify_steiner(design: Design) -> VerificationReport:
     n = design.n_points
     rows = design.block_rows
     duplicates = int((rows[1:] == rows[:-1]).all(axis=1).sum())  # equal rows are adjacent
-    iu = np.triu_indices(n, k=1)
-    counts = design.coverage[iu]
+    pairs = _upper_pairs(n)
+    counts = np.take(design.coverage, pairs)
     bad = counts != 1
-    defects = [((p, q), c) for p, q, c in zip(
-        iu[0][bad].tolist(), iu[1][bad].tolist(), counts[bad].tolist())]
+    p, q = np.divmod(pairs[bad], n)
+    defects = list(zip(zip(p.tolist(), q.tolist()), counts[bad].tolist()))
     is_steiner = (
         not defects
         and design.block_count == BLOCK_COUNT

@@ -89,14 +89,16 @@ def _kernel_rows(design: Design, origins) -> np.ndarray:
 
 
 def transversal(design: Design) -> tuple:
-    """(reps, rep, back) for the orbits of the design's action.
+    """(reps, rep, at) for the orbits of the design's action.
 
-    reps holds the least point of each orbit, ascending; rep[x] is the index
-    in reps of x's orbit, and back[x] is the inverse of an action row g with
-    g*reps[rep[x]] = x.  A table t over point pairs that the action leaves
-    invariant is then t[x, y] = t[reps[rep[x]], back[x, y]], so its rows at
-    reps give all of it.  Under the identity action every point is its own
-    orbit.  Built once per design and kept in ``design._cache``.
+    reps holds the least point of each orbit, ascending, and rep[x] is the
+    index in reps of x's orbit.  A table t over point pairs that the action
+    leaves invariant has t[x, y] = t[reps[rep[x]], g^-1 y] for an action row g
+    with g*reps[rep[x]] = x, so its rows at reps give all of it: with those
+    rows flattened to len(reps) * n entries, at[x, y] = rep[x] * n + g^-1 y
+    is the flat index of t[x, y], and one ``np.take`` through at fills t.
+    Under the identity action every point is its own orbit.  Built once per
+    design and kept in ``design._cache``.
     """
     cached = design._cache.get("transversal")
     if cached is None:
@@ -104,10 +106,11 @@ def transversal(design: Design) -> tuple:
         n = design.n_points
         least = action.min(axis=0)  # each point's orbit, by its least point
         reps, rep = np.unique(least, return_inverse=True)
-        g = np.argmax(action[:, least] == np.arange(n), axis=0)  # g*least[x] = x
-        back = np.empty((n, n), dtype=np.intp)
-        back[np.arange(n)[:, None], action[g]] = np.arange(n)
-        cached = design._cache["transversal"] = (reps, rep, back)
+        points = np.arange(n)
+        g = np.argmax(action[:, least] == points, axis=0)  # g*least[x] = x
+        at = np.empty(n * n, dtype=np.intp)  # at[x, g*z] = rep[x] * n + z
+        at[(action[g] + n * points[:, None]).ravel()] = np.add.outer(rep * n, points).ravel()
+        cached = design._cache["transversal"] = (reps, rep, at.reshape(n, n))
     return cached
 
 
@@ -116,18 +119,18 @@ def pair_histograms(design: Design) -> np.ndarray:
 
     The histograms are invariant under automorphisms, so only the orbit
     representatives of the design's action go through the kernel, and one
-    gather through the ``transversal`` fills the table from their rows.
+    ``np.take`` through the ``transversal`` fills the table from their rows.
     """
     cached = design._cache.get("pair_histograms")
     if cached is not None:
         return cached
     _require_steiner(design)
-    reps, rep, back = transversal(design)
+    reps, _, at = transversal(design)
     # the kernel's temporaries are freed before hist is allocated: a
-    # reproduction then peaks at about 2.3 MB of heap (tracemalloc), which stays
+    # reproduction then peaks at 2.4-2.8 MB of heap (tracemalloc), which stays
     # under glibc's trim threshold, so its pages are reused, not faulted in again
     rows = _kernel_rows(design, reps)
-    hist = design._cache["pair_histograms"] = rows[rep[:, None], back]
+    hist = design._cache["pair_histograms"] = np.take(rows.reshape(-1, 5), at, axis=0)
     return hist
 
 

@@ -40,19 +40,19 @@ def _pair_codes(design: Design) -> np.ndarray:
     the two steps give the same ranks as ranking the joined rows at once.
 
     Both steps rank only the rows at the orbit representatives of the design's
-    action and fill the rest through its ``transversal``.  The pair histograms,
-    and so half and the codes, are invariant under the action, so every row is
-    the image of a representative's row: the distinct values ranked are the
-    same set, and a rank is a position in that set.
+    action, as one flat array of len(reps) * n ranks, and fill the whole (n, n)
+    table by one ``np.take`` through the ``transversal``'s flat index at.  The
+    pair histograms, and so half and the codes, are invariant under the action,
+    so every row is the image of a representative's row: the distinct values
+    ranked are the same set, and a rank is a position in that set.
     """
     codes = design._cache.get("pair_codes")
     if codes is None:
-        reps, rep, back = transversal(design)
-        n = design.n_points
-        half, _ = _rank_rows(pair_histograms(design)[reps].reshape(len(reps) * n, -1))
-        half = half.reshape(len(reps), n)[rep[:, None], back]
+        reps, _, at = transversal(design)
+        half, _ = _rank_rows(pair_histograms(design)[reps].reshape(-1, 5))
+        half = np.take(half, at)
         codes, _ = _rank_rows(np.stack([half[reps], half[:, reps].T], axis=2).reshape(-1, 2))
-        codes = design._cache["pair_codes"] = codes.reshape(len(reps), n)[rep[:, None], back]
+        codes = design._cache["pair_codes"] = np.take(codes, at)
     return codes
 
 

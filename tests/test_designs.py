@@ -306,6 +306,37 @@ def test_first_rows_of_empty_arrays(shape):
     assert_first_rows_match_unique(np.zeros(shape, dtype=np.int64))
 
 
+def _lines_through(design):
+    """Each point's block indices, ascending, by a plain loop over the blocks."""
+    lines = [[] for _ in range(design.n_points)]
+    for i, block in enumerate(design.block_rows.tolist()):
+        for p in block:
+            lines[p].append(i)
+    return lines
+
+
+def _pairing(n_points):
+    """A design of n_points whose blocks pair the points at random, with its
+    blocks alone: Design.__post_init__'s n x n pair tables would hold 1.6e9
+    entries at 40,000 points."""
+    rows = np.sort(np.random.default_rng(n_points).permutation(n_points).reshape(-1, 2), axis=1)
+    design = object.__new__(Design)
+    design.n_points, design.block_rows = n_points, rows[np.argsort(rows[:, 0])]
+    return design
+
+
+@pytest.mark.parametrize("make", [
+    lambda: design_of("ex1-1"),
+    lambda: _pairing(40_000),  # above int16
+    lambda: _pairing(70_000),  # above uint16
+], ids=["ex1-1", "40000-points", "70000-points"])
+def test_point_lines_match_a_plain_loop(make):
+    d = make()
+    lines = d.point_lines
+    assert lines.dtype == np.int64
+    assert lines.tolist() == _lines_through(d)
+
+
 def test_blocks_on_2000_points_map_and_relabel():
     """Rows of points below 2000 need 6 * 11 bits, so their keys take the
     void view, in from_blocks, block_image and relabel alike."""

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import design_of, entry
 from unitals import fingerprint as fp_module
+from unitals import isomorph
 from unitals.designs import Design, Mode, develop, relabel
 from unitals.errors import NotASteinerSystem
 from unitals.fingerprint import (
@@ -176,3 +177,41 @@ def test_point_histograms_sum_the_pair_histograms(make):
     d = make()
     assert np.array_equal(point_histograms(d), pair_histograms(d).sum(axis=1))
 
+
+
+def _two_d_gather(design, rows):
+    """rows[rep[:, None], back]: the table over point pairs whose rows at the
+    orbit representatives of the design's action are rows, gathered in two
+    dimensions through back, the inverse of an action row g with g*rep = x
+    in each row x (the transversal's former form)."""
+    action = design.action
+    n = design.n_points
+    least = action.min(axis=0)
+    reps, rep = np.unique(least, return_inverse=True)
+    g = np.argmax(action[:, least] == np.arange(n), axis=0)
+    back = np.empty((n, n), dtype=np.intp)
+    back[np.arange(n)[:, None], action[g]] = np.arange(n)
+    return reps, rows[rep[:, None], back]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: develop(entry("ex1-1").group(), entry("ex1-1").family()),
+    lambda: develop(entry("sg126-1-1").group(), entry("sg126-1-1").family()),
+    lambda: relabel(design_of("ex1-1"), np.random.default_rng(9).permutation(126)),
+    lambda: Design.from_blocks(design_of("sg126-1-1").blocks, 126),
+], ids=["ex1-1", "sg126-1-1", "relabeled", "bare"])
+def test_flat_transversal_index_matches_two_d_gather(make):
+    """pair_histograms and the pair codes, filled by one np.take through the
+    transversal's flat index, equal the two-dimensional gather of the same
+    representative rows."""
+    d = make()
+    reps, rep, at = fp_module.transversal(d)
+    want_reps, want = _two_d_gather(d, fp_module._kernel_rows(d, reps))
+    assert np.array_equal(reps, want_reps)
+    assert np.array_equal(pair_histograms(d), want)
+    n = d.n_points
+    half, _ = isomorph._rank_rows(want[reps].reshape(len(reps) * n, -1))
+    _, half = _two_d_gather(d, half.reshape(len(reps), n))
+    codes, _ = isomorph._rank_rows(np.stack([half[reps], half[:, reps].T], axis=2).reshape(-1, 2))
+    _, codes = _two_d_gather(d, codes.reshape(len(reps), n))
+    assert np.array_equal(isomorph._pair_codes(d), codes)

@@ -171,7 +171,7 @@ def infinity_block(e):
     return [b for b in e.base_blocks if INF in b]
 
 
-@pytest.mark.parametrize("state", ["ex1-1", "ex2-4", "sg126-12-15", "identity-at-7"])
+@pytest.mark.parametrize("state", ["ex1-1", "ex2-4", "sg126-12-15", "identity-at-7", "ex4-1"])
 def test_full_block_scan_matches_enumeration(state, z125, ex1_1, tmp_path):
     if state == "identity-at-7":
         g, kept = z125_identity_at_7(z125, ex1_1, tmp_path)
@@ -181,10 +181,14 @@ def test_full_block_scan_matches_enumeration(state, z125, ex1_1, tmp_path):
         g, mode = e.group(), e.mode
         # ex1-1's first block fixed, with the ∞-block the root chooses;
         # ex2-4's first two; sg126-12-15's last one, with the coset union that
-        # its pinned completion chooses, which leaves two involutions uncovered
+        # its pinned completion chooses, which leaves two involutions uncovered;
+        # all of ex4-1 but its first block, the one block that fits, which holds
+        # e, delta and the least free difference: the first the scan's first
+        # level walks
         kept = {"ex1-1": e.base_blocks[:1] + infinity_block(e),
                 "ex2-4": e.base_blocks[:2] + infinity_block(e),
-                "sg126-12-15": e.base_blocks[4:] + [[0, 1, 2, 5, 8, 14]]}[state]
+                "sg126-12-15": e.base_blocks[4:] + [[0, 1, 2, 5, 8, 14]],
+                "ex4-1": e.base_blocks[1:]}[state]
     searcher = search._Searcher(g, DifferenceFamily(mode, kept))
     uncovered = searcher.uncovered
     delta = (uncovered & -uncovered).bit_length() - 1
@@ -199,6 +203,10 @@ def test_full_block_scan_matches_enumeration(state, z125, ex1_1, tmp_path):
             covered.append(mask)
     blocks, masks = enumerated_blocks(g, uncovered, delta)
     assert blocks  # every state has blocks to find
+    if state == "ex4-1":
+        free = uncovered & ~searcher.pairs[g.identity][delta]
+        assert blocks == [tuple(sorted(map(g.resolve, e.base_blocks[0])))]
+        assert (free & -free).bit_length() - 1 in blocks[0]
     assert [b for _, b in scanned] == blocks
     assert covered == masks
     found, nodes = element_scan(g, uncovered, delta)
